@@ -3,15 +3,16 @@
 // select policies, and get the figures of merit, message log, and an
 // SVG timeline. Uploaded inputs are saved for later debugging.
 //
-// Submissions flow through an async job service (internal/serve): a
-// bounded queue drained by a fixed worker pool, a content-addressed
-// result cache, and explicit load-shedding (429 + Retry-After) when
-// the queue is full. Machine clients submit via POST /api/run and poll
-// /api/jobs/{id}; browsers get /jobs/{id} progress pages.
+// Submissions flow through a job service (internal/serve): a bounded
+// queue in front of a fixed number of run slots, a job table that
+// doubles as a content-addressed result cache, and explicit
+// load-shedding (429 + Retry-After) when the queue is full. Machine
+// clients submit via POST /api/run and poll /api/jobs/{id}; browsers
+// get /jobs/{id} progress pages.
 //
 // Usage:
 //
-//	bceweb -addr :8080 -save uploads/ -workers 4 -queue 64 -cache 128
+//	bceweb -addr :8080 -save uploads/ -workers 4 -queue 64
 package main
 
 import (
@@ -36,23 +37,22 @@ func main() {
 		save    = flag.String("save", "", "directory to save uploaded scenarios ('' = don't save)")
 		timeout = flag.Duration("run-timeout", web.DefaultRunTimeout,
 			"wall-clock cap per emulation (0 = only the request context applies)")
-		workers  = flag.Int("workers", 0, "job-queue worker pool size (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "emulations run at once, sync and async together (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 64, "queued-job capacity before load-shedding kicks in")
-		cache    = flag.Int("cache", 128, "result-cache entries (LRU)")
 		syncDays = flag.Float64("sync-days", 2, "emulated-day threshold under which /run completes synchronously")
 	)
 	flag.Parse()
 	srv := web.NewServer(*save)
-	srv.RunTimeout = *timeout
 	srv.SyncDays = *syncDays
 	srv.Svc = serve.New(serve.Config{
-		Batch:        runner.Options{Workers: *workers},
-		QueueCap:     *queue,
-		CacheEntries: *cache,
+		Batch:    runner.Options{Workers: *workers},
+		QueueCap: *queue,
 	})
+	srv.Svc.RunTimeout = *timeout
 
-	// Ctrl-C / SIGTERM drains: stop accepting, cancel the worker pool,
-	// wait for in-flight emulations to stop at an event-batch boundary.
+	// Ctrl-C / SIGTERM drains: stop accepting, cancel the submitted
+	// jobs, wait for in-flight emulations to stop at an event-batch
+	// boundary.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv.Start(ctx)
@@ -78,8 +78,8 @@ func main() {
 		defer cancel()
 		hs.Shutdown(sctx) //bce:errok best-effort drain on the way out
 	}()
-	fmt.Printf("bceweb listening on http://%s/ (%d workers, queue %d, cache %d)\n",
-		*addr, srv.Svc.Workers(), srv.Svc.QueueCap(), *cache)
+	fmt.Printf("bceweb listening on http://%s/ (%d workers, queue %d)\n",
+		*addr, srv.Svc.Workers(), srv.Svc.QueueCap())
 	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "bceweb:", err)
 		os.Exit(1)

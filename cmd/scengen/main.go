@@ -11,14 +11,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"bce/internal/population"
 	"bce/internal/scenario"
 	"bce/internal/stats"
-	"bce/internal/study"
 )
 
 func main() {
@@ -67,22 +68,25 @@ func main() {
 	}
 }
 
-// runStudy runs each policy combination on every sample and reports
-// population means plus paired per-scenario wins (the Monte-Carlo
-// study, implemented and tested in internal/study).
+// runStudy runs each default policy combination on every sample and
+// reports population means plus paired per-scenario wins, folded by
+// the population study engine over the samples.
 func runStudy(samples []*scenario.Scenario) error {
-	res, err := study.Run(samples, study.DefaultCombos())
+	st, err := population.Run(context.Background(), population.Params{
+		Scenarios: len(samples),
+		Source:    func(i int) (*scenario.Scenario, error) { return samples[i], nil },
+	})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("Monte-Carlo study over %d sampled scenarios\n\n", len(samples))
-	fmt.Print(res.Table())
+	fmt.Print(st.Table())
 	fmt.Println()
 	// Paired wins for the two headline metrics: share violation and
 	// RPCs per job.
-	fmt.Print(res.WinsTable(2))
+	fmt.Print(st.WinsTable(2))
 	fmt.Println()
-	fmt.Print(res.WinsTable(4))
+	fmt.Print(st.WinsTable(4))
 	return nil
 }
 

@@ -16,7 +16,7 @@ import (
 // trajectory as kernel ones; they are not part of the CI alloc gate.
 func ServeSuite() []Bench {
 	return []Bench{
-		{Name: "serve_cache_hit", Doc: "content-addressed cache hit on the sync fast-path (fingerprint + LRU)", F: BenchServeCacheHit},
+		{Name: "serve_cache_hit", Doc: "content-addressed cache hit through Do (fingerprint + job-table lookup)", F: BenchServeCacheHit},
 		{Name: "serve_submit_poll", Doc: "async ticket round-trip in-process: submit, watch to done", F: BenchServeSubmitPoll},
 		{Name: "serve_loadgen", Doc: "HTTP submit→poll→result cycles against an in-process bceweb; reports p50/p99/rps", F: BenchServeLoadgen},
 	}
@@ -30,7 +30,7 @@ func benchRequest(seed int64) serve.Request {
 }
 
 // BenchServeCacheHit measures the cache-hit path end to end: request
-// fingerprinting plus the LRU lookup, no emulation. This is the cost
+// fingerprinting plus the job-table lookup, no emulation. This is the cost
 // every duplicate submission pays, so it must stay trivial next to a
 // run.
 func BenchServeCacheHit(b *testing.B) {

@@ -97,12 +97,8 @@ type Params struct {
 
 	// Source overrides the population sampler with a fixed scenario
 	// source: it must return the i-th scenario deterministically. Used
-	// by the small-N study adapter.
+	// by `scengen -study` to study the scenarios it sampled.
 	Source func(i int) (*scenario.Scenario, error)
-	// OnCell, when set, observes every folded cell in fold order
-	// (scenario-major, then combo). Failed cells report failed=true
-	// with a zero value.
-	OnCell func(scenarioIdx, comboIdx int, vals [NumMetrics]float64, failed bool)
 	// Progress, when set, is called after every folded batch with the
 	// number of scenarios completed and the target.
 	Progress func(done, total int)
@@ -289,7 +285,7 @@ func run(ctx context.Context, st *Study, p Params, opts ...runner.Option) (*Stud
 			}
 			return st, err
 		}
-		foldBatch(st, p, lo, hi, specs, errs, results)
+		foldBatch(st, lo, hi, specs, errs, results)
 		if p.Progress != nil {
 			p.Progress(st.Done, st.Target)
 		}
@@ -362,7 +358,7 @@ func comboConfig(base *scenario.Scenario, combo Combo) (client.Config, error) {
 // foldBatch folds one batch of results into the aggregates, strictly
 // in scenario order (then combo order), so the accumulated floating-
 // point state is independent of worker scheduling.
-func foldBatch(st *Study, p Params, lo, hi int, specs []runner.Spec, errs []error, results []runner.RunResult) {
+func foldBatch(st *Study, lo, hi int, specs []runner.Spec, errs []error, results []runner.RunResult) {
 	nc := len(st.Combos)
 	vals := make([][NumMetrics]float64, nc)
 	failed := make([]bool, nc)
@@ -383,11 +379,6 @@ func foldBatch(st *Study, p Params, lo, hi int, specs []runner.Spec, errs []erro
 			}
 		}
 		foldScenario(st, vals, failed)
-		if p.OnCell != nil {
-			for c := 0; c < nc; c++ {
-				p.OnCell(i, c, vals[c], failed[c])
-			}
-		}
 		st.Done++
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -169,33 +168,6 @@ func TestAggregateStateSizeIndependentOfN(t *testing.T) {
 	a, b := len(studyJSON(t, small)), len(studyJSON(t, large))
 	if b > a+a/2 {
 		t.Fatalf("aggregate state grew with N: %d bytes at 500, %d at 5000", a, b)
-	}
-}
-
-func TestOnCellFoldOrder(t *testing.T) {
-	var cells []string
-	p := stubParams(7, "")
-	p.BatchSize = 3
-	p.OnCell = func(i, c int, vals [NumMetrics]float64, failed bool) {
-		cells = append(cells, fmt.Sprintf("%d/%d", i, c))
-		if failed {
-			t.Errorf("cell %d/%d unexpectedly failed", i, c)
-		}
-	}
-	if _, err := Run(context.Background(), p); err != nil {
-		t.Fatal(err)
-	}
-	if len(cells) != 7*3 {
-		t.Fatalf("OnCell fired %d times, want 21", len(cells))
-	}
-	want := 0
-	for i := 0; i < 7; i++ {
-		for c := 0; c < 3; c++ {
-			if cells[want] != fmt.Sprintf("%d/%d", i, c) {
-				t.Fatalf("fold order broken at %d: %v", want, cells[want])
-			}
-			want++
-		}
 	}
 }
 

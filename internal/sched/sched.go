@@ -93,19 +93,6 @@ type Decision struct {
 	Run []*job.Task
 }
 
-// RunSet returns the decision's tasks as a set for differencing.
-//
-// Deprecated: the run set is small (bounded by processor counts);
-// differencing with Decision.Contains avoids the per-pass map
-// allocation on the emulator's hot path.
-func (d Decision) RunSet() map[*job.Task]bool {
-	m := make(map[*job.Task]bool, len(d.Run))
-	for _, t := range d.Run {
-		m[t] = true
-	}
-	return m
-}
-
 // Contains reports whether the decision schedules t. Linear scan: Run
 // is bounded by the host's processor counts, so this beats building a
 // set for realistic hardware.

@@ -251,15 +251,6 @@ func TestEmptyQueue(t *testing.T) {
 	}
 }
 
-func TestRunSet(t *testing.T) {
-	a, b := cpuTask(0, "a"), cpuTask(0, "b")
-	d := Decision{Run: []*job.Task{a, b}}
-	s := d.RunSet()
-	if !s[a] || !s[b] || len(s) != 2 {
-		t.Fatal("RunSet content wrong")
-	}
-}
-
 func TestTieBreakPrefersRunning(t *testing.T) {
 	// Same project, same priority: the already-running (checkpointed)
 	// task should be kept to avoid churn.

@@ -214,8 +214,8 @@ func Loadgen(ctx context.Context, o LoadgenOptions) (*LoadgenResult, error) {
 	return res, nil
 }
 
-// nearestRank returns the ceil(p·N)-th smallest of sorted — the same
-// nearest-rank definition stats.P2Quantile uses for small samples.
+// nearestRank returns the ceil(p·N)-th smallest of sorted, the
+// nearest-rank quantile definition.
 func nearestRank(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0

@@ -1,30 +1,30 @@
-// Package serve is the emulator's async job-submission service — the
-// layer that turns the one-shot web frontend into a traffic-bearing
-// system (ROADMAP item 2). It is shaped like the BOINC server
-// machinery the paper's platform descends from: volunteer-facing
-// services survive load not by spawning unbounded work per request but
-// by queueing submissions behind a bounded worker pool and shedding
-// load explicitly when the queue is full.
+// Package serve is the emulator's job-submission service — the layer
+// that turns the one-shot web frontend into a traffic-bearing system.
+// It is shaped like the BOINC server machinery the paper's platform
+// descends from: volunteer-facing services survive load not by
+// spawning unbounded work per request but by queueing submissions in
+// front of a fixed number of run slots and shedding load explicitly
+// when the queue is full.
 //
-// The pieces:
+// Synchronous (Do) and asynchronous (Submit) requests share every
+// piece:
 //
-//   - a bounded job queue: Submit returns a ticket immediately (or
-//     ErrQueueFull, which HTTP layers map to 429 + Retry-After), and a
-//     fixed worker pool sized off runner.Options drains it;
-//   - a content-addressed result cache: an emulation is a pure
+//   - one job table: every admitted request is a job record, and the
+//     records double as the result cache. An emulation is a pure
 //     function of (scenario fingerprint, seed, policies, days) by the
-//     determinism contract (DESIGN.md §10), so identical submissions
-//     are served from the cache without re-emulating, with LRU
-//     eviction bounding memory;
-//   - in-flight deduplication: a submission identical to a queued or
-//     running job returns that job's ticket instead of a new slot;
+//     determinism contract (DESIGN.md §10), so a done job's outcome
+//     serves every identical request until MaxJobs evicts the record;
+//   - one admission policy: a request identical to a live job joins
+//     it, one identical to a done job is a cache hit, a full queue
+//     sheds with ErrQueueFull (HTTP layers map it to 429 +
+//     Retry-After), and anything else becomes a new queued job;
+//   - one execution path: a job waits for one of Workers run slots,
+//     executes, releases the slot and publishes its terminal state.
+//     Submit runs it on a new goroutine and returns a ticket at once;
+//     Do runs it on the caller's goroutine and returns the outcome;
 //   - progress events: every job publishes state transitions (and,
 //     for studies, scenario counts) to watchers, which the web layer
-//     streams out as server-sent events;
-//   - a synchronous fast-path (Do) for tiny requests: cache-aware and
-//     bounded by its own worker-sized semaphore, so small interactive
-//     submissions keep their single-roundtrip UX without bypassing
-//     load control.
+//     streams out as server-sent events.
 package serve
 
 import (
@@ -43,14 +43,13 @@ import (
 
 // Errors the HTTP layer maps to response codes.
 var (
-	// ErrQueueFull is load-shedding: the bounded queue has no room.
-	// HTTP layers respond 429 with a Retry-After estimate.
+	// ErrQueueFull is load-shedding: QueueCap jobs are already waiting
+	// for a run slot. HTTP layers respond 429 with a Retry-After
+	// estimate.
 	ErrQueueFull = errors.New("serve: job queue full")
-	// ErrBusy is the synchronous fast-path's shed: every sync slot is
-	// occupied. Same 429 mapping as ErrQueueFull.
-	ErrBusy = errors.New("serve: all workers busy")
-	// ErrNotStarted is returned by Submit before Start has launched
-	// the worker pool: an enqueued job would never run.
+	// ErrNotStarted is returned by Submit before Start (or after its
+	// context ended): a submitted job would have no context to run
+	// under.
 	ErrNotStarted = errors.New("serve: service not started")
 	// ErrUnknownJob is returned for ticket IDs the service has no
 	// record of (never issued, or evicted).
@@ -119,7 +118,7 @@ func (r Request) Validate() error {
 }
 
 // Outcome is a finished job's payload — everything the rendering layer
-// needs, retained in the result cache under the request fingerprint.
+// needs, kept on the job record that produced it.
 type Outcome struct {
 	Fingerprint string
 	Kind        Kind
@@ -160,45 +159,44 @@ type JobView struct {
 	QueuePos int `json:"queue_pos,omitempty"`
 }
 
-// job is the service-internal record. id/fp/req/seq are immutable
-// after creation (runJob reads them without the lock); everything
-// mutable is guarded by the owning Service's mutex.
+// job is the service-internal record. id/fp/req/seq/ended are
+// immutable after creation (run reads them without the lock);
+// everything mutable is guarded by the owning Service's mutex.
 type job struct {
 	id       string
 	fp       string
 	req      Request
-	state    State        //bce:guardedby Service.mu
-	err      string       //bce:guardedby Service.mu
-	cacheHit bool         //bce:guardedby Service.mu
-	done     int          //bce:guardedby Service.mu — study progress
-	total    int          //bce:guardedby Service.mu
-	outcome  *Outcome     //bce:guardedby Service.mu
-	watchers []chan Event //bce:guardedby Service.mu
-	seq      int          // admission order, for queue-position estimates
+	state    State         //bce:guardedby Service.mu
+	err      string        //bce:guardedby Service.mu
+	cacheHit bool          //bce:guardedby Service.mu
+	done     int           //bce:guardedby Service.mu — study progress
+	total    int           //bce:guardedby Service.mu
+	outcome  *Outcome      //bce:guardedby Service.mu
+	watchers []chan Event  //bce:guardedby Service.mu
+	seq      int           // admission order, for queue-position estimates
+	ended    chan struct{} // closed at the terminal state; Do waits on it
 }
 
 // Config sizes the service. The zero value selects all defaults.
 type Config struct {
-	// Batch sizes the worker pool: the pool has
-	// runner.Resolve(runner.WithOptions(Batch)).Workers workers, i.e.
-	// Batch.Workers or GOMAXPROCS. Progress/FailFast are unused here.
+	// Batch sizes the run slots: at most
+	// runner.Resolve(runner.WithOptions(Batch)).Workers jobs, i.e.
+	// Batch.Workers or GOMAXPROCS, execute at once across Submit and
+	// Do. Progress/FailFast are unused here.
 	Batch runner.Options
-	// QueueCap bounds the number of queued (not yet running) jobs;
-	// beyond it Submit sheds with ErrQueueFull. Default 64.
+	// QueueCap bounds the number of queued jobs (admitted, waiting for
+	// a run slot); beyond it Submit and Do shed with ErrQueueFull.
+	// Default 64.
 	QueueCap int
-	// CacheEntries bounds the LRU result cache. Default 128.
-	CacheEntries int
-	// MaxJobs bounds retained job records (tickets stay resolvable
-	// until evicted oldest-first). Default 1024.
+	// MaxJobs bounds retained job records, and with them the cached
+	// outcomes: tickets stay resolvable, and done jobs keep serving
+	// identical requests, until evicted oldest-first. Default 1024.
 	MaxJobs int
 }
 
 func (c Config) withDefaults() Config {
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
-	}
-	if c.CacheEntries <= 0 {
-		c.CacheEntries = 128
 	}
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 1024
@@ -209,43 +207,40 @@ func (c Config) withDefaults() Config {
 // Stats are the service's monotonic counters plus a queue snapshot.
 type Stats struct {
 	Runs      int // emulations/studies actually executed (cache misses)
-	CacheHits int // submissions served from the result cache
-	Shed      int // submissions rejected with ErrQueueFull/ErrBusy
-	Queued    int // jobs waiting right now
+	CacheHits int // requests served from a done job's outcome
+	Shed      int // requests rejected with ErrQueueFull
+	Queued    int // jobs waiting for a run slot right now
 	Running   int // jobs executing right now
 }
 
-// Service is the async job-submission engine. Construct with New,
-// launch the worker pool with Start; Submit/Job/Outcome/Watch are safe
-// for concurrent use.
+// Service is the job-submission engine. Construct with New; Do works
+// at once, Submit after Start. All methods are safe for concurrent use.
 type Service struct {
-	// RunTimeout caps the wall-clock time of one queued emulation or
-	// study (0 = no cap). Read at execution time, so it may be set any
-	// time before Start.
+	// RunTimeout caps the wall-clock time of one emulation or study on
+	// either path (0 = no cap). Read at execution time; set it before
+	// serving requests.
 	RunTimeout time.Duration
 
-	cfg     Config
-	workers int
+	cfg   Config
+	slots chan struct{} // run slots: a job holds one while it executes
 
-	mu      sync.Mutex
-	jobs    map[string]*job //bce:guardedby mu
-	order   []string        //bce:guardedby mu — job IDs in admission order, for MaxJobs eviction
-	byFP    map[string]*job //bce:guardedby mu — live (queued/running) jobs for dedup
-	cache   *lru            //bce:guardedby mu
-	queue   chan *job       // channel ops synchronize themselves
-	started bool            //bce:guardedby mu
+	mu    sync.Mutex
+	jobs  map[string]*job //bce:guardedby mu
+	order []string        //bce:guardedby mu — job IDs in admission order, for MaxJobs eviction
+	byFP  map[string]*job //bce:guardedby mu — newest live or done job per fingerprint
+	// runCtx is Start's context, under which Submit runs its jobs.
+	runCtx  context.Context //bce:guardedby mu
 	nextSeq int             //bce:guardedby mu
 	stats   Stats           //bce:guardedby mu
 	// emaRunSecs is an exponential moving average of recent execution
 	// wall times, the basis of RetryAfter estimates.
 	emaRunSecs float64 //bce:guardedby mu
 
-	syncSlots chan struct{} // fast-path semaphore, sized like the pool
-	wg        sync.WaitGroup
+	wg sync.WaitGroup // Submit's job goroutines
 }
 
-// New builds a stopped service. Call Start to launch the worker pool;
-// the synchronous fast-path (Do) works without Start.
+// New builds a service. Do works right away; call Start to accept
+// Submit.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	workers := runner.Resolve(runner.WithOptions(cfg.Batch)).Workers
@@ -253,100 +248,55 @@ func New(cfg Config) *Service {
 		workers = 1
 	}
 	return &Service{
-		cfg:       cfg,
-		workers:   workers,
-		jobs:      make(map[string]*job),
-		byFP:      make(map[string]*job),
-		cache:     newLRU(cfg.CacheEntries),
-		queue:     make(chan *job, cfg.QueueCap),
-		syncSlots: make(chan struct{}, workers),
+		cfg:   cfg,
+		slots: make(chan struct{}, workers),
+		jobs:  make(map[string]*job),
+		byFP:  make(map[string]*job),
 	}
 }
 
-// Workers reports the worker-pool size.
-func (s *Service) Workers() int { return s.workers }
+// Workers reports the number of run slots.
+func (s *Service) Workers() int { return cap(s.slots) }
 
 // QueueCap reports the queue capacity.
 func (s *Service) QueueCap() int { return s.cfg.QueueCap }
 
-// Start launches the worker pool under ctx: cancelling ctx stops the
-// workers (in-flight emulations stop at the next event-batch
-// boundary). Once the pool has exited, jobs still sitting in the queue
-// are failed and their watcher channels closed — without this, a
-// cancelled service would leave queued tickets StateQueued forever and
-// every subscribed watcher channel unclosed. Start is idempotent; Wait
-// blocks until the pool and the shutdown sweep have finished.
+// Start lets Submit run jobs under ctx. Cancelling ctx stops running
+// jobs at their next event-batch boundary, fails the ones still
+// waiting for a run slot (closing their watchers), and makes later
+// Submits return ErrNotStarted. Start is a no-op while an earlier
+// Start context is live; Wait blocks until Submit's jobs have ended.
 func (s *Service) Start(ctx context.Context) {
 	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = true
-	s.mu.Unlock()
-	var workers sync.WaitGroup
-	for i := 0; i < s.workers; i++ {
-		workers.Add(1)
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer workers.Done()
-			s.worker(ctx)
-		}()
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		<-ctx.Done()
-		workers.Wait()
-		s.shutdown()
-	}()
-}
-
-// shutdown fails every job still queued after the workers have exited
-// and closes its watcher channels, then marks the service stopped so
-// later Submits shed with ErrNotStarted instead of enqueueing work
-// nothing will run.
-func (s *Service) shutdown() {
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.started = false
-	for {
-		select {
-		case j := <-s.queue:
-			delete(s.byFP, j.fp)
-			j.state = StateFailed
-			j.err = "serve: service stopped before the job ran"
-			s.notifyLocked(j)
-		default:
-			return
-		}
+	if !s.startedLocked() {
+		s.runCtx = ctx
 	}
 }
 
-// Started reports whether the worker pool is running.
+func (s *Service) startedLocked() bool { return s.runCtx != nil && s.runCtx.Err() == nil }
+
+// Started reports whether Submit accepts work.
 func (s *Service) Started() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.started
+	return s.startedLocked()
 }
 
-// Wait blocks until the worker pool has exited (after the Start
-// context is cancelled).
+// Wait blocks until every job Submit started has ended. After the
+// Start context is cancelled that is prompt.
 func (s *Service) Wait() { s.wg.Wait() }
 
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Queued = len(s.queue)
-	return st
+	return s.stats
 }
 
 // RetryAfter estimates how long a shed client should wait before
-// resubmitting: the queue's expected drain time through the pool,
-// floored at one second.
+// resubmitting: the backlog's expected drain time through the run
+// slots, floored at one second.
 func (s *Service) RetryAfter() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -354,91 +304,71 @@ func (s *Service) RetryAfter() time.Duration {
 	if ema <= 0 {
 		ema = 1
 	}
-	backlog := len(s.queue) + s.stats.Running + 1
-	secs := ema * float64(backlog) / float64(s.workers)
+	backlog := s.stats.Queued + s.stats.Running + 1
+	secs := ema * float64(backlog) / float64(cap(s.slots))
 	if secs < 1 {
 		secs = 1
 	}
 	return time.Duration(math.Ceil(secs)) * time.Second
 }
 
-// Submit enqueues a request and returns its ticket. A submission whose
-// fingerprint matches a live job returns that job's ticket; one whose
-// result is cached returns an already-done ticket without taking a
-// queue slot; a full queue sheds with ErrQueueFull.
+// Submit admits a request and returns its ticket: a live job's ticket
+// for a duplicate, a new done ticket for a cache hit, or a new queued
+// job, which runs on its own goroutine under Start's context. A full
+// queue sheds with ErrQueueFull.
 func (s *Service) Submit(req Request) (JobView, error) {
-	if err := req.Validate(); err != nil {
-		return JobView{}, err
-	}
-	fp, err := Fingerprint(req)
+	fp, err := fingerprint(req)
 	if err != nil {
 		return JobView{}, err
 	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if live, ok := s.byFP[fp]; ok {
-		return s.viewLocked(live), nil
+	j, adm, err := s.admitLocked(req, fp, true)
+	if err != nil {
+		return JobView{}, err
 	}
-	if out, ok := s.cache.get(fp); ok {
-		j := s.newJobLocked(req, fp)
-		j.state = StateDone
-		j.cacheHit = true
-		j.outcome = out
-		s.stats.CacheHits++
-		return s.viewLocked(j), nil
+	if adm == admitNew {
+		ctx := s.runCtx
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			s.run(ctx, j) //bce:errok the outcome or error is published on the job record
+		}()
 	}
-	if !s.started {
-		return JobView{}, ErrNotStarted
-	}
-	j := s.newJobLocked(req, fp)
-	select {
-	case s.queue <- j:
-	default:
-		s.dropJobLocked(j)
-		s.stats.Shed++
-		return JobView{}, ErrQueueFull
-	}
-	s.byFP[fp] = j
 	return s.viewLocked(j), nil
 }
 
-// Do is the synchronous fast-path: serve from the cache, or execute
-// the request inline under ctx. It is bounded by a worker-sized
-// semaphore; when every sync slot is taken it sheds with ErrBusy
-// instead of queueing, keeping the fast path fast under load. The
-// returned bool reports a cache hit.
+// Do admits a request like Submit, then returns its outcome: at once
+// for a cache hit, after waiting on the live job for a duplicate, or
+// by running a new job on the caller's goroutine under ctx. It needs no
+// Start. The returned bool reports a cache hit.
 func (s *Service) Do(ctx context.Context, req Request) (*Outcome, bool, error) {
-	if err := req.Validate(); err != nil {
-		return nil, false, err
-	}
-	fp, err := Fingerprint(req)
+	fp, err := fingerprint(req)
 	if err != nil {
 		return nil, false, err
 	}
 	s.mu.Lock()
-	if out, ok := s.cache.get(fp); ok {
-		s.stats.CacheHits++
-		s.mu.Unlock()
-		return out, true, nil
-	}
+	j, adm, err := s.admitLocked(req, fp, false)
 	s.mu.Unlock()
-
-	select {
-	case s.syncSlots <- struct{}{}:
-	default:
-		s.mu.Lock()
-		s.stats.Shed++
-		s.mu.Unlock()
-		return nil, false, ErrBusy
-	}
-	defer func() { <-s.syncSlots }()
-
-	out, err := s.execute(ctx, req, fp, nil)
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, false, err
+	case adm == admitNew:
+		out, err := s.run(ctx, j)
+		return out, false, err
+	case adm == admitJoined:
+		select {
+		case <-j.ended:
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
+		}
 	}
-	return out, false, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.state == StateFailed {
+		return nil, false, errors.New(j.err)
+	}
+	return j.outcome, adm == admitHit, nil
 }
 
 // Job returns a snapshot of the ticket's job.
@@ -504,6 +434,120 @@ func (s *Service) Watch(id string) (<-chan Event, func(), error) {
 
 // --- internals ---
 
+// fingerprint validates a request and returns its content address.
+func fingerprint(req Request) (string, error) {
+	if err := req.Validate(); err != nil {
+		return "", err
+	}
+	return Fingerprint(req)
+}
+
+// admission says how admitLocked placed a request.
+type admission int
+
+const (
+	admitNew    admission = iota // a new queued job: the caller runs it
+	admitJoined                  // an identical live job: the caller waits on it
+	admitHit                     // an identical done job: its outcome is ready
+)
+
+// admitLocked is the one admission policy, for Submit (async) and Do.
+// An identical live job is joined. An identical done job is a cache
+// hit; Submit gets a done ticket of its own, which also becomes the
+// fingerprint's newest record. Otherwise, with QueueCap jobs already
+// queued the request sheds with ErrQueueFull, and else it becomes a
+// new queued job. Submit on a service without a live Start context
+// fails with ErrNotStarted, after the join and hit checks.
+func (s *Service) admitLocked(req Request, fp string, async bool) (*job, admission, error) {
+	if j, ok := s.byFP[fp]; ok {
+		if j.state != StateDone {
+			return j, admitJoined, nil
+		}
+		s.stats.CacheHits++
+		if async {
+			hit := s.newJobLocked(req, fp)
+			hit.state = StateDone
+			hit.cacheHit = true
+			hit.outcome = j.outcome
+			s.notifyLocked(hit)
+			s.byFP[fp] = hit
+			return hit, admitHit, nil
+		}
+		return j, admitHit, nil
+	}
+	if async && !s.startedLocked() {
+		return nil, 0, ErrNotStarted
+	}
+	if s.stats.Queued >= s.cfg.QueueCap {
+		s.stats.Shed++
+		return nil, 0, ErrQueueFull
+	}
+	j := s.newJobLocked(req, fp)
+	s.byFP[fp] = j
+	s.stats.Queued++
+	return j, admitNew, nil
+}
+
+// run is the one execution path, for Submit's goroutines and Do's
+// callers alike. The job takes one of Workers run slots (senders
+// blocked on the buffered channel wake in arrival order), executes
+// under ctx, publishes its terminal state and then releases the slot,
+// so a job shows as running exactly while it holds one. If ctx ends
+// before a slot frees up, the job fails without running. run returns
+// execute's error itself, so callers can test it with errors.Is.
+func (s *Service) run(ctx context.Context, j *job) (*Outcome, error) {
+	select {
+	case s.slots <- struct{}{}:
+	case <-ctx.Done():
+		err := fmt.Errorf("serve: job stopped before it ran: %w", ctx.Err())
+		s.finish(j, nil, err, 0)
+		return nil, err
+	}
+	s.mu.Lock()
+	j.state = StateRunning
+	s.stats.Queued--
+	s.stats.Running++
+	s.notifyLocked(j)
+	s.mu.Unlock()
+
+	start := time.Now() //bce:wallclock run-duration EMA feeds real-time Retry-After estimates
+	out, err := s.execute(ctx, j)
+	elapsed := time.Since(start).Seconds() //bce:wallclock see above
+	s.finish(j, out, err, elapsed)
+	<-s.slots
+	return out, err
+}
+
+// finish publishes a job's terminal state. A done job stays its
+// fingerprint's record and counts as a run; a failed one leaves byFP,
+// so the next identical request runs afresh.
+func (s *Service) finish(j *job, out *Outcome, err error, elapsed float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j.state == StateRunning {
+		s.stats.Running--
+	} else {
+		s.stats.Queued--
+	}
+	if err != nil {
+		j.state = StateFailed
+		j.err = err.Error()
+		if s.byFP[j.fp] == j {
+			delete(s.byFP, j.fp)
+		}
+	} else {
+		j.state = StateDone
+		j.outcome = out
+		s.stats.Runs++
+		if s.emaRunSecs == 0 {
+			s.emaRunSecs = elapsed
+		} else {
+			s.emaRunSecs = 0.7*s.emaRunSecs + 0.3*elapsed
+		}
+	}
+	s.notifyLocked(j)
+}
+
 func (s *Service) newJobLocked(req Request, fp string) *job {
 	s.nextSeq++
 	j := &job{
@@ -515,19 +559,24 @@ func (s *Service) newJobLocked(req Request, fp string) *job {
 		req:   req,
 		state: StateQueued,
 		seq:   s.nextSeq,
+		ended: make(chan struct{}),
 	}
 	if req.Kind == KindStudy {
 		j.total = req.StudyScenarios
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	// Evict oldest terminal records past the cap; live jobs are never
-	// evicted (the queue bound keeps their count small).
+	// Evict the oldest terminal records past the cap, with the
+	// outcomes only they hold; live jobs are never evicted (the queue
+	// bound keeps their count small).
 	for len(s.jobs) > s.cfg.MaxJobs {
 		evicted := false
 		for i, id := range s.order {
-			if old, ok := s.jobs[id]; ok && old.state.Terminal() {
+			if old := s.jobs[id]; old.state.Terminal() {
 				delete(s.jobs, id)
+				if s.byFP[old.fp] == old {
+					delete(s.byFP, old.fp)
+				}
 				s.order = append(s.order[:i], s.order[i+1:]...)
 				evicted = true
 				break
@@ -540,13 +589,6 @@ func (s *Service) newJobLocked(req Request, fp string) *job {
 	return j
 }
 
-func (s *Service) dropJobLocked(j *job) {
-	delete(s.jobs, j.id)
-	if n := len(s.order); n > 0 && s.order[n-1] == j.id {
-		s.order = s.order[:n-1]
-	}
-}
-
 func (s *Service) viewLocked(j *job) JobView {
 	v := JobView{
 		ID:       j.id,
@@ -557,7 +599,8 @@ func (s *Service) viewLocked(j *job) JobView {
 		Done:     j.done,
 		Total:    j.total,
 	}
-	if j.state == StateQueued {
+	// byFP holds done jobs too; skip the walk when no other job waits.
+	if j.state == StateQueued && s.stats.Queued > 1 {
 		for _, other := range s.byFP {
 			if other.state == StateQueued && other.seq < j.seq {
 				v.QueuePos++
@@ -587,66 +630,24 @@ func (s *Service) notifyLocked(j *job) {
 			close(w)
 		}
 		j.watchers = nil
+		close(j.ended)
 	}
-}
-
-func (s *Service) worker(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case j := <-s.queue:
-			s.runJob(ctx, j)
-		}
-	}
-}
-
-func (s *Service) runJob(ctx context.Context, j *job) {
-	s.mu.Lock()
-	j.state = StateRunning
-	s.stats.Running++
-	s.notifyLocked(j)
-	s.mu.Unlock()
-
-	onProgress := func(done, total int) {
-		s.mu.Lock()
-		j.done, j.total = done, total
-		s.notifyLocked(j)
-		s.mu.Unlock()
-	}
-	out, err := s.execute(ctx, j.req, j.fp, onProgress)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.stats.Running--
-	delete(s.byFP, j.fp)
-	if err != nil {
-		j.state = StateFailed
-		j.err = err.Error()
-	} else {
-		j.state = StateDone
-		j.outcome = out
-	}
-	s.notifyLocked(j)
 }
 
 // maxLogBytes caps the retained message log of one run; the cap exists
-// so the LRU's entry-count bound also bounds memory.
+// so the MaxJobs record bound also bounds memory.
 const maxLogBytes = 2 << 20
 
-// execute runs the request under ctx (plus RunTimeout, if set), stores
-// the outcome in the cache, and bumps the run counter and duration
-// estimate. It is the single choke point both the queue workers and
-// the sync fast-path go through, so "Runs" counts real emulations
-// exactly.
-func (s *Service) execute(ctx context.Context, req Request, fp string, onProgress func(done, total int)) (*Outcome, error) {
+// execute computes a job's outcome under ctx (plus RunTimeout, if
+// set). It touches no service state except study progress.
+func (s *Service) execute(ctx context.Context, j *job) (*Outcome, error) {
 	if s.RunTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.RunTimeout)
 		defer cancel()
 	}
-	start := time.Now() //bce:wallclock run-duration EMA feeds real-time Retry-After estimates
-	out := &Outcome{Fingerprint: fp, Kind: req.Kind}
+	req := j.req
+	out := &Outcome{Fingerprint: j.fp, Kind: req.Kind}
 	switch req.Kind {
 	case KindRun:
 		cfg, err := req.Scenario.Config()
@@ -669,7 +670,12 @@ func (s *Service) execute(ctx context.Context, req Request, fp string, onProgres
 			Scenarios:  req.StudyScenarios,
 			Seed:       req.StudySeed,
 			Population: scenario.PopulationParams{DurationDays: req.StudyDays},
-			Progress:   onProgress,
+			Progress: func(done, total int) {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				j.done, j.total = done, total
+				s.notifyLocked(j)
+			},
 		})
 		if err != nil {
 			return nil, err
@@ -678,17 +684,6 @@ func (s *Service) execute(ctx context.Context, req Request, fp string, onProgres
 	default:
 		return nil, fmt.Errorf("serve: unknown job kind %q", req.Kind)
 	}
-	elapsed := time.Since(start).Seconds() //bce:wallclock see above
-
-	s.mu.Lock()
-	s.stats.Runs++
-	if s.emaRunSecs == 0 {
-		s.emaRunSecs = elapsed
-	} else {
-		s.emaRunSecs = 0.7*s.emaRunSecs + 0.3*elapsed
-	}
-	s.cache.put(fp, out)
-	s.mu.Unlock()
 	return out, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -73,27 +74,6 @@ func TestFingerprintCanonicalizes(t *testing.T) {
 	}
 }
 
-func TestLRUEvictsOldest(t *testing.T) {
-	c := newLRU(2)
-	c.put("a", &Outcome{Fingerprint: "a"})
-	c.put("b", &Outcome{Fingerprint: "b"})
-	if _, ok := c.get("a"); !ok { // touch a: b becomes the LRU entry
-		t.Fatal("a missing before capacity reached")
-	}
-	c.put("c", &Outcome{Fingerprint: "c"})
-	if _, ok := c.get("b"); ok {
-		t.Fatal("least-recently-used entry b survived eviction")
-	}
-	for _, k := range []string{"a", "c"} {
-		if _, ok := c.get(k); !ok {
-			t.Fatalf("entry %s evicted wrongly", k)
-		}
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-}
-
 // Do must execute once and then serve the identical request from the
 // cache, as counted by the Runs statistic.
 func TestDoCachesByContent(t *testing.T) {
@@ -120,6 +100,124 @@ func TestDoCachesByContent(t *testing.T) {
 	}
 	if s.Stats().Runs != 2 {
 		t.Fatalf("Runs = %d, want 2", s.Stats().Runs)
+	}
+}
+
+// A Do on a started service shares the Workers run slots with Submit:
+// with one slot held by a queued 20-day run, a tiny Do must wait for
+// that run to end instead of emulating beside it.
+func TestDoSharesWorkerBound(t *testing.T) {
+	s := New(Config{Batch: runner.Options{Workers: 1}})
+	ctx, cancel := context.WithCancel(context.Background()) //bce:ctxshim test
+	defer cancel()
+	s.Start(ctx)
+	long := tinyScenario(5)
+	long.DurationDays = 20
+	v, err := s.Submit(Request{Kind: KindRun, Scenario: long})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, v.ID, StateRunning)
+	if _, _, err := s.Do(ctx, runRequest(6)); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := s.Job(v.ID); !got.State.Terminal() {
+		t.Fatalf("Do returned while the submitted run was %s: two emulations ran on one worker", got.State)
+	}
+}
+
+// Concurrent identical Do calls join one job: one emulation, not two.
+func TestDoDedupsConcurrentCalls(t *testing.T) {
+	s := New(Config{Batch: runner.Options{Workers: 2}})
+	scn := tinyScenario(7)
+	scn.DurationDays = 5
+	req := Request{Kind: KindRun, Scenario: scn}
+	var wg sync.WaitGroup
+	outs := make([]*Outcome, 2)
+	errs := make([]error, 2)
+	gate := make(chan struct{})
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-gate
+			outs[i], _, errs[i] = s.Do(context.Background(), req) //bce:ctxshim test
+		}(i)
+	}
+	close(gate)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outs[0] != outs[1] {
+		t.Fatal("identical Do calls returned different outcomes")
+	}
+	if runs := s.Stats().Runs; runs != 1 {
+		t.Fatalf("Runs = %d, want 1 for two identical concurrent Do calls", runs)
+	}
+}
+
+// The job table is the result cache: a repeat stays a hit as long as
+// its record is retained, however many other runs came in between.
+func TestRepeatHitsAfterManyRuns(t *testing.T) {
+	s := New(Config{Batch: runner.Options{Workers: 2}})
+	ctx := context.Background() //bce:ctxshim test
+	for i := int64(0); i <= 130; i++ {
+		if _, _, err := s.Do(ctx, runRequest(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, hit, err := s.Do(ctx, runRequest(1000)); err != nil || !hit {
+		t.Fatalf("repeat after 130 distinct runs: hit=%v err=%v, want a cache hit", hit, err)
+	}
+}
+
+// MaxJobs is the one retention bound: once a done job's record is
+// evicted, its outcome goes with it.
+func TestMaxJobsEvictsOutcomes(t *testing.T) {
+	s := New(Config{Batch: runner.Options{Workers: 1}, MaxJobs: 4})
+	ctx := context.Background() //bce:ctxshim test
+	for i := int64(0); i < 6; i++ {
+		if _, _, err := s.Do(ctx, runRequest(2000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, hit, err := s.Do(ctx, runRequest(2000)); err != nil || hit {
+		t.Fatalf("first of 6 runs under MaxJobs 4: hit=%v err=%v, want a miss", hit, err)
+	}
+	if runs := s.Stats().Runs; runs != 7 {
+		t.Fatalf("Runs = %d, want 7", runs)
+	}
+}
+
+// Do goes through the same queue bound as Submit: with the one queue
+// slot taken, it sheds with ErrQueueFull and counts Shed.
+func TestDoShedsWhenQueueFull(t *testing.T) {
+	s := New(Config{Batch: runner.Options{Workers: 1}, QueueCap: 1})
+	ctx, cancel := context.WithCancel(context.Background()) //bce:ctxshim test
+	defer s.Wait()
+	defer cancel()
+	s.Start(ctx)
+	heavy := func(seed int64) Request {
+		scn := tinyScenario(seed)
+		scn.DurationDays = 1000
+		return Request{Kind: KindRun, Scenario: scn}
+	}
+	running, err := s.Submit(heavy(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, running.ID, StateRunning)
+	if _, err := s.Submit(heavy(9)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Do(ctx, runRequest(10)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Do with a full queue: err = %v, want ErrQueueFull", err)
+	}
+	if shed := s.Stats().Shed; shed != 1 {
+		t.Fatalf("Shed = %d, want 1", shed)
 	}
 }
 
@@ -267,17 +365,24 @@ func TestCapWriter(t *testing.T) {
 
 func waitDone(t *testing.T, s *Service, id string) {
 	t.Helper()
+	waitState(t, s, id, StateDone)
+}
+
+// waitState polls the job until it reaches want, failing on a terminal
+// state other than want.
+func waitState(t *testing.T, s *Service, id string, want State) {
+	t.Helper()
 	deadline := time.Now().Add(60 * time.Second) //bce:wallclock test timeout
 	for {
 		v, err := s.Job(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.State.Terminal() {
-			if v.State != StateDone {
-				t.Fatalf("job %s failed: %s", id, v.Err)
-			}
+		if v.State == want {
 			return
+		}
+		if v.State.Terminal() {
+			t.Fatalf("job %s ended %s (%s), want %s", id, v.State, v.Err, want)
 		}
 		if time.Now().After(deadline) { //bce:wallclock test timeout
 			t.Fatalf("job %s stuck in %s", id, v.State)

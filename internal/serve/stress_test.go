@@ -12,12 +12,11 @@ import (
 )
 
 // TestStopFailsQueuedJobsAndClosesWatchers is the regression test for
-// the shutdown leak: before the shutdown sweep existed, cancelling the
-// Start context stopped the workers but left every still-queued job
-// StateQueued forever, with its watcher channels never closed — an SSE
-// client would hang until its own timeout. After Wait returns, every
-// ticket must be terminal, every watcher channel closed, and Submit
-// must shed with ErrNotStarted.
+// the shutdown leak: a cancelled Start context must not leave a queued
+// job StateQueued forever, with its watcher channels never closed — an
+// SSE client would hang until its own timeout. After Wait returns,
+// every ticket must be terminal, every watcher channel closed, and
+// Submit must shed with ErrNotStarted.
 func TestStopFailsQueuedJobsAndClosesWatchers(t *testing.T) {
 	s := New(Config{Batch: runner.Options{Workers: 1}, QueueCap: 8})
 	ctx, cancel := context.WithCancel(context.Background()) //bce:ctxshim test
@@ -152,12 +151,11 @@ func TestConcurrentStress(t *testing.T) {
 	select {
 	case <-waited:
 	case <-time.After(60 * time.Second): //bce:wallclock deadlock guard
-		t.Fatal("Wait did not return after cancel: worker pool or shutdown sweep stuck")
+		t.Fatal("Wait did not return after cancel: a job goroutine is stuck")
 	}
 
-	// The pool, shutdown supervisor, and any watcher-bound goroutines
-	// must all be gone; poll briefly to let exiting goroutines clear
-	// the scheduler.
+	// The job goroutines and any watcher-bound goroutines must all be
+	// gone; poll briefly to let exiting goroutines clear the scheduler.
 	const slack = 10
 	deadline := time.Now().Add(5 * time.Second) //bce:wallclock test poll deadline
 	for {

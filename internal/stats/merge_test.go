@@ -120,6 +120,35 @@ func TestMeanMergeAssociative(t *testing.T) {
 
 // TestMeanExactOnHostileSum: the exact-summation core must recover sums
 // that plain left-to-right addition destroys.
+// A Mean rebuilt from its JSON state continues exactly as the original.
+func TestMeanStateRoundTrip(t *testing.T) {
+	rng := NewRNG(5)
+	var straight, front Mean
+	for i := 0; i < 1000; i++ {
+		x := rng.Normal(0, 1)
+		straight.Add(x)
+		front.Add(x)
+	}
+	blob, err := json.Marshal(front.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st MeanState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
+	}
+	back := MeanFromState(st)
+	for i := 0; i < 1000; i++ {
+		x := rng.Normal(2, 3)
+		straight.Add(x)
+		back.Add(x)
+	}
+	if back.Mean() != straight.Mean() || back.Var() != straight.Var() || back.N() != straight.N() {
+		t.Fatalf("state round-trip diverged: %v/%v vs %v/%v",
+			back.Mean(), back.Var(), straight.Mean(), straight.Var())
+	}
+}
+
 func TestMeanExactOnHostileSum(t *testing.T) {
 	var m Mean
 	for _, x := range []float64{1e100, 1, -1e100, 1} {

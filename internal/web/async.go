@@ -119,16 +119,9 @@ func (s *Server) jobResult(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	var notices []string
 	if v, verr := s.Svc.Job(id); verr == nil && v.CacheHit {
-		notices = append(notices, "served from the result cache: an identical submission was emulated earlier")
+		notices = append(notices, cacheNotice)
 	}
-	switch out.Kind {
-	case serve.KindRun:
-		s.renderRun(w, out, notices)
-	case serve.KindStudy:
-		s.renderStudy(w, out.Study, notices)
-	default:
-		http.Error(w, "unknown job kind", http.StatusInternalServerError)
-	}
+	s.render(w, out, notices)
 }
 
 // jobEvents streams a job's progress as server-sent events. The stream

@@ -20,7 +20,7 @@ import (
 	"bce/internal/serve"
 )
 
-// startedServer returns a Server with a running worker pool and an
+// startedServer returns a Server whose service is started, and an
 // httptest server in front of it. A nil cfg keeps the default service.
 func startedServer(t *testing.T, cfg *serve.Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -143,7 +143,7 @@ func TestAPICacheHitSkipsEmulation(t *testing.T) {
 }
 
 // The form flow also hits the cache: same scenario twice through /run
-// (sync fast-path), second render carries the cache notice.
+// (sync path), second render carries the cache notice.
 func TestFormCacheHit(t *testing.T) {
 	s := NewServer("")
 	h := s.Handler()

@@ -6,10 +6,10 @@
 // scheduling problems to the BOINC developers. Uploads are kept on the
 // server (paper: "the input files are saved on the server").
 //
-// Requests flow through the async job-submission service
-// (internal/serve): tiny submissions keep the classic one-roundtrip UX
-// on a cache-aware synchronous fast-path, larger ones get a ticket and
-// a /jobs/{id} progress page (poll, SSE, result fetch), and when the
+// Every request goes through the job service (internal/serve), which
+// admits and runs sync and async requests alike: tiny form submissions
+// keep the classic one-roundtrip UX, larger ones get a ticket and a
+// /jobs/{id} progress page (poll, SSE, result fetch), and when the
 // bounded queue is full the server sheds load with 429 + Retry-After
 // instead of melting.
 package web
@@ -40,52 +40,49 @@ type Server struct {
 	SaveDir string
 	MaxDays float64 // cap on emulation length (default 30)
 
-	// RunTimeout caps the wall-clock time of one emulation; the
-	// request context is honored too, so an abandoned HTTP request
-	// stops the emulation instead of burning CPU to completion.
-	// 0 means no server-side cap (the request context still applies).
-	RunTimeout time.Duration
-
-	// SyncDays is the synchronous fast-path threshold: /run
-	// submissions at or under this many emulated days (and /study
-	// submissions under SyncScenarioDays scenario-days) complete in
-	// the request, larger ones are enqueued — provided Start has
-	// launched the worker pool. Default 2.
+	// SyncDays is the synchronous threshold: /run submissions at or
+	// under this many emulated days (and /study submissions under
+	// SyncScenarioDays scenario-days) complete in the request, larger
+	// ones are submitted for a ticket — provided Start has been
+	// called. Default 2.
 	SyncDays float64
 
-	// Svc is the async job service backing every submission.
+	// Svc is the job service backing every submission. Its RunTimeout
+	// caps the wall-clock time of one emulation; the request context
+	// is honored too, so an abandoned HTTP request stops its emulation
+	// instead of burning CPU to completion.
 	Svc *serve.Service
 
 	mu    sync.Mutex
 	saved int //bce:guardedby mu
 }
 
-// DefaultRunTimeout bounds one web-triggered emulation unless the
-// caller overrides RunTimeout.
+// DefaultRunTimeout is the Svc.RunTimeout NewServer sets: it bounds one
+// web-triggered emulation unless the caller overrides it.
 const DefaultRunTimeout = 2 * time.Minute
 
-// SyncScenarioDays is the /study fast-path budget: studies of at most
+// SyncScenarioDays is the /study synchronous budget: studies of at most
 // this many scenario-days (scenarios × days each) run synchronously.
 const SyncScenarioDays = 5.0
 
 // NewServer returns a web frontend saving uploads to saveDir ("" =
-// don't save). The async worker pool starts with Start; without it
-// every request uses the synchronous fast-path.
+// don't save). Async submissions need Start; without it every request
+// is served synchronously.
 func NewServer(saveDir string) *Server {
+	svc := serve.New(serve.Config{})
+	svc.RunTimeout = DefaultRunTimeout
 	return &Server{
-		SaveDir:    saveDir,
-		MaxDays:    30,
-		RunTimeout: DefaultRunTimeout,
-		SyncDays:   2,
-		Svc:        serve.New(serve.Config{}),
+		SaveDir:  saveDir,
+		MaxDays:  30,
+		SyncDays: 2,
+		Svc:      svc,
 	}
 }
 
-// Start launches the async worker pool under ctx; cancelling ctx stops
-// it. Until Start is called, /run and /study fall back to synchronous
-// handling and the async API responds 503.
+// Start lets the service run submitted jobs under ctx; cancelling ctx
+// stops them. Until Start is called, /run and /study are served
+// synchronously and the async API responds 503.
 func (s *Server) Start(ctx context.Context) {
-	s.Svc.RunTimeout = s.RunTimeout
 	s.Svc.Start(ctx)
 }
 
@@ -236,45 +233,57 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	s.serveForm(w, r, req, scn.DurationDays > s.syncDays(), "reduce days", notices)
+}
 
-	// Large request + running worker pool: enqueue and hand back a
-	// ticket page instead of burning this handler goroutine.
-	if s.Svc.Started() && scn.DurationDays > s.syncDays() {
+// cacheNotice marks a result page served from an earlier identical
+// request's outcome.
+const cacheNotice = "served from the result cache: an identical submission was emulated earlier"
+
+// serveForm is the one path behind the /run and /study forms. A large
+// request on a started service is submitted and redirected to its
+// ticket page, so it does not hold this handler goroutine; anything
+// else goes through Do and is rendered in the response. hint tells a
+// user whose request timed out what to shrink.
+func (s *Server) serveForm(w http.ResponseWriter, r *http.Request, req serve.Request, large bool, hint string, notices []string) {
+	if large && s.Svc.Started() {
 		view, err := s.Svc.Submit(req)
 		if err != nil {
-			s.submitError(w, err)
+			s.serviceError(w, err)
 			return
 		}
 		http.Redirect(w, r, "/jobs/"+view.ID, http.StatusSeeOther)
 		return
 	}
-
-	// Synchronous fast-path: cache-aware, bounded, single roundtrip.
-	ctx := r.Context()
-	if s.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.RunTimeout)
-		defer cancel()
-	}
-	out, cacheHit, err := s.Svc.Do(ctx, req)
-	if err != nil {
-		switch {
-		case r.Context().Err() != nil:
-			// Client is gone; nobody is listening for the response.
-		case errors.Is(err, context.DeadlineExceeded):
-			http.Error(w, fmt.Sprintf("emulation exceeded the server's %v limit; reduce days", s.RunTimeout),
-				http.StatusGatewayTimeout)
-		case errors.Is(err, serve.ErrBusy):
-			s.shed(w)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+	out, cacheHit, err := s.Svc.Do(r.Context(), req)
+	switch {
+	case err == nil:
+	case r.Context().Err() != nil:
+		return // the client is gone; nobody is listening for the response
+	case errors.Is(err, context.DeadlineExceeded):
+		http.Error(w, fmt.Sprintf("the request exceeded the server's %v limit; %s", s.Svc.RunTimeout, hint),
+			http.StatusGatewayTimeout)
+		return
+	default:
+		s.serviceError(w, err)
 		return
 	}
 	if cacheHit {
-		notices = append(notices, "served from the result cache: an identical scenario was emulated earlier")
+		notices = append(notices, cacheNotice)
 	}
-	s.renderRun(w, out, notices)
+	s.render(w, out, notices)
+}
+
+// render writes the result page for a finished outcome of either kind.
+func (s *Server) render(w http.ResponseWriter, out *serve.Outcome, notices []string) {
+	switch out.Kind {
+	case serve.KindRun:
+		s.renderRun(w, out, notices)
+	case serve.KindStudy:
+		s.renderStudy(w, out.Study, notices)
+	default:
+		http.Error(w, "unknown job kind", http.StatusInternalServerError)
+	}
 }
 
 // renderRun writes the result page for a finished run outcome.
@@ -387,9 +396,9 @@ func studyParams(nStr, daysStr, seedStr string) (n int, days float64, seed int64
 	return n, days, seed, notices
 }
 
-// study runs a small streaming population study (paper §6.2) — through
-// the job queue when it is large and the pool is running, else
-// synchronously under the request context.
+// study runs a small streaming population study (paper §6.2): through
+// a ticket when it is large and the service is started, else in the
+// request.
 func (s *Server) study(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -397,42 +406,7 @@ func (s *Server) study(w http.ResponseWriter, r *http.Request) {
 	}
 	n, days, seed, notices := studyParams(r.FormValue("n"), r.FormValue("days"), r.FormValue("seed"))
 	req := serve.Request{Kind: serve.KindStudy, StudyScenarios: n, StudyDays: days, StudySeed: seed}
-
-	if s.Svc.Started() && float64(n)*days > SyncScenarioDays {
-		view, err := s.Svc.Submit(req)
-		if err != nil {
-			s.submitError(w, err)
-			return
-		}
-		http.Redirect(w, r, "/jobs/"+view.ID, http.StatusSeeOther)
-		return
-	}
-
-	ctx := r.Context()
-	if s.RunTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.RunTimeout)
-		defer cancel()
-	}
-	out, cacheHit, err := s.Svc.Do(ctx, req)
-	if err != nil {
-		switch {
-		case r.Context().Err() != nil:
-			// Client is gone; nobody is listening for the response.
-		case errors.Is(err, context.DeadlineExceeded):
-			http.Error(w, fmt.Sprintf("study exceeded the server's %v limit; reduce scenarios or days", s.RunTimeout),
-				http.StatusGatewayTimeout)
-		case errors.Is(err, serve.ErrBusy):
-			s.shed(w)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	if cacheHit {
-		notices = append(notices, "served from the result cache: an identical study ran earlier")
-	}
-	s.renderStudy(w, out.Study, notices)
+	s.serveForm(w, r, req, float64(n)*days > SyncScenarioDays, "reduce scenarios or days", notices)
 }
 
 // renderStudy writes the study page for a finished study outcome.
@@ -449,7 +423,7 @@ func (s *Server) renderStudy(w http.ResponseWriter, st *population.Study, notice
 		st.Table(), st.QuantileTable(2), st.WinsTable(2) + "\n" + st.WinsTable(4), notices})
 }
 
-// syncDays returns the effective fast-path threshold.
+// syncDays returns the effective synchronous threshold.
 func (s *Server) syncDays() float64 {
 	if s.SyncDays > 0 {
 		return s.SyncDays
@@ -457,19 +431,14 @@ func (s *Server) syncDays() float64 {
 	return 2
 }
 
-// shed writes the load-shedding response: 429 plus the service's
-// queue-drain estimate as Retry-After.
-func (s *Server) shed(w http.ResponseWriter) {
-	ra := s.Svc.RetryAfter()
-	w.Header().Set("Retry-After", strconv.Itoa(int(ra.Seconds())))
-	http.Error(w, fmt.Sprintf("server is at capacity; retry in ~%v", ra), http.StatusTooManyRequests)
-}
-
-// submitError maps Submit errors to responses.
-func (s *Server) submitError(w http.ResponseWriter, err error) {
+// serviceError maps Submit and Do errors to responses: a full queue is
+// 429 plus the service's queue-drain estimate as Retry-After.
+func (s *Server) serviceError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, serve.ErrQueueFull):
-		s.shed(w)
+		ra := s.Svc.RetryAfter()
+		w.Header().Set("Retry-After", strconv.Itoa(int(ra.Seconds())))
+		http.Error(w, fmt.Sprintf("server is at capacity; retry in ~%v", ra), http.StatusTooManyRequests)
 	case errors.Is(err, serve.ErrNotStarted):
 		http.Error(w, "job queue not running", http.StatusServiceUnavailable)
 	default:

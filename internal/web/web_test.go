@@ -244,7 +244,7 @@ func TestStudyCapsInputs(t *testing.T) {
 func TestRunTimeout(t *testing.T) {
 	srv := NewServer("")
 	srv.MaxDays = 100000
-	srv.RunTimeout = time.Millisecond
+	srv.Svc.RunTimeout = time.Millisecond
 	rr := post(t, srv.Handler(), url.Values{"state": {jsonScenario}, "days": {"100000"}})
 	if rr.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", rr.Code)
