@@ -99,33 +99,15 @@ func RunContext(ctx context.Context, s *Scenario) (*Result, error) {
 	return RunConfigContext(ctx, cfg)
 }
 
-// RunConfig emulates a low-level configuration.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func RunConfig(cfg Config) (*Result, error) {
-	return RunConfigContext(context.Background(), cfg)
-}
-
 // RunConfigContext emulates a low-level configuration under ctx (see
 // RunContext for the cancellation contract).
 func RunConfigContext(ctx context.Context, cfg Config) (*Result, error) {
 	return runner.Run(ctx, cfg)
 }
 
-// BatchOption configures RunBatch; see WithWorkers, WithProgress,
-// WithFailFast and WithBatchOptions.
+// BatchOption configures RunBatch; see WithWorkers, WithProgress and
+// WithFailFast.
 type BatchOption = runner.Option
-
-// BatchOptions is the engine's full option set as a struct — the same
-// knobs the With* helpers set one at a time. It is shared by every
-// batch entry point in the module (RunBatch, harness, study, fleet,
-// population), so configuring concurrency means learning exactly one
-// type.
-type BatchOptions = runner.Options
-
-// WithBatchOptions applies every set field of o at once; zero fields
-// keep their defaults.
-func WithBatchOptions(o BatchOptions) BatchOption { return runner.WithOptions(o) }
 
 // BatchProgress is a live snapshot of a batch in flight.
 type BatchProgress = runner.Progress
@@ -178,6 +160,8 @@ func DeriveSeed(base int64, i int) int64 { return runner.DeriveSeed(base, i) }
 // RunWithTimeline emulates the scenario recording the processor-usage
 // timeline (renderable as ASCII or SVG) and writing the message log of
 // scheduling decisions to log (nil discards it).
+//
+//bce:ctxshim convenience wrapper for the examples; roots a background context and delegates to RunConfigContext
 func RunWithTimeline(s *Scenario, log io.Writer) (*Result, error) {
 	cfg, err := s.Config()
 	if err != nil {
@@ -185,7 +169,7 @@ func RunWithTimeline(s *Scenario, log io.Writer) (*Result, error) {
 	}
 	cfg.RecordTimeline = true
 	cfg.Log = log
-	return RunConfig(cfg)
+	return RunConfigContext(context.Background(), cfg)
 }
 
 // LoadScenario reads a scenario from JSON.

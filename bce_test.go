@@ -1,6 +1,7 @@
 package bce
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -145,7 +146,7 @@ func TestImportClientStateAPI(t *testing.T) {
 }
 
 func TestRunConfigInvalid(t *testing.T) {
-	if _, err := RunConfig(Config{}); err == nil {
+	if _, err := RunConfigContext(context.Background(), Config{}); err == nil {
 		t.Fatal("empty config accepted")
 	}
 }

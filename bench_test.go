@@ -112,7 +112,7 @@ func BenchmarkScenario4Policies(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := experiments.Scenario4(kind, int64(i))
 				cfg.Duration = 86400 // one day per iteration
-				if _, err := bce.RunConfig(cfg); err != nil {
+				if _, err := bce.RunConfigContext(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -130,7 +130,7 @@ func BenchmarkSchedPolicies(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := experiments.Scenario1(1500, p, int64(i))
 				cfg.Duration = 86400
-				if _, err := bce.RunConfig(cfg); err != nil {
+				if _, err := bce.RunConfigContext(context.Background(), cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -193,7 +193,7 @@ func BenchmarkAblationDeadlineMargin(b *testing.B) {
 				cfg := experiments.Scenario1(1200, sched.JSLocal, int64(i))
 				cfg.Duration = 2 * 86400
 				cfg.DeadlineMargin = margin
-				res, err := bce.RunConfig(cfg)
+				res, err := bce.RunConfigContext(context.Background(), cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

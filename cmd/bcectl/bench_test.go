@@ -10,9 +10,10 @@ import (
 	"bce/internal/perf"
 )
 
-// gateSuite is the cheapest declared hot-path benchmark; with
-// -benchtime 1x the whole gate run costs microseconds, so the test
-// exercises the real `bcectl bench gate` path end to end.
+// gateSuite is the cheapest declared hot-path benchmark; at
+// benchtime 10x, the setting CI gates at, the whole gate run costs
+// microseconds, so the test exercises the real `bcectl bench gate`
+// path end to end.
 const gateSuite = "fetch_decide"
 
 // writeBaseline records a BENCH file for gateSuite with the given
@@ -42,7 +43,7 @@ func TestBenchGateSyntheticRegression(t *testing.T) {
 	dir := t.TempDir()
 	baseline := writeBaseline(t, dir, 0) // real run allocates > 0: guaranteed regression
 	th := perf.Thresholds{Time: -1, Allocs: 0.10}
-	err := benchGate(gateSuite, "1x", "", baseline, th)
+	err := benchGate(gateSuite, "10x", "", baseline, th)
 	if err == nil {
 		t.Fatal("gate must fail on an injected allocation regression")
 	}
@@ -56,11 +57,11 @@ func TestBenchGateSyntheticRegression(t *testing.T) {
 // ungated and allocation counts deterministic, the gate must pass.
 func TestBenchGatePassesAgainstHonestBaseline(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := benchRunSuite(gateSuite, "1x", dir); err != nil {
+	if _, err := benchRunSuite(gateSuite, "10x", dir); err != nil {
 		t.Fatal(err)
 	}
 	th := perf.Thresholds{Time: -1, Allocs: 0.10}
-	if err := benchGate(gateSuite, "1x", "", dir, th); err != nil {
+	if err := benchGate(gateSuite, "10x", "", dir, th); err != nil {
 		t.Fatalf("gate vs a just-recorded baseline must pass: %v", err)
 	}
 }
@@ -73,7 +74,7 @@ func TestBenchGateRejectsCorruptBaseline(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{broken"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := benchGate(gateSuite, "1x", "", path, perf.Thresholds{Time: -1, Allocs: 0.10})
+	err := benchGate(gateSuite, "10x", "", path, perf.Thresholds{Time: -1, Allocs: 0.10})
 	if err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("want corrupt-baseline error, got %v", err)
 	}
@@ -83,7 +84,7 @@ func TestBenchGateRejectsCorruptBaseline(t *testing.T) {
 // that round-trips through the loader with the suite's entries.
 func TestBenchRunWritesLedger(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := benchRunSuite(gateSuite, "1x", dir); err != nil {
+	if _, err := benchRunSuite(gateSuite, "10x", dir); err != nil {
 		t.Fatal(err)
 	}
 	l, _, err := perf.Latest(dir)

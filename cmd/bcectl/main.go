@@ -90,19 +90,16 @@ func main() {
 
 	var err error
 	switch cmd {
-	case "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-		"ext-transfer", "ext-fleet", "ext-server":
-		err = runFigure(ctx, cmd, sl, *csv, *chart, rep, opts)
-	case "figures":
-		for _, id := range []string{"fig1", "fig2", "fig3", "fig4", "fig5", "fig6"} {
-			if err = runFigure(ctx, id, sl, "", *chart, rep, opts); err != nil {
-				break
-			}
-			fmt.Println()
+	case "figures", "extensions":
+		prefix := "fig"
+		if cmd == "extensions" {
+			prefix = "ext-"
 		}
-	case "extensions":
-		for _, e := range experiments.Extensions() {
-			if err = runFigure(ctx, e.ID, sl, "", *chart, rep, opts); err != nil {
+		for _, e := range experiments.All() {
+			if !strings.HasPrefix(e.ID, prefix) {
+				continue
+			}
+			if err = runFigure(ctx, e, sl, "", *chart, rep, opts); err != nil {
 				break
 			}
 			fmt.Println()
@@ -122,9 +119,13 @@ func main() {
 	case "loadgen":
 		err = runLoadgen(ctx, flag.Args()[1:])
 	default:
-		usage()
-		stopProfile()
-		os.Exit(2)
+		e, lerr := experiments.ByID(cmd)
+		if lerr != nil {
+			usage()
+			stopProfile()
+			os.Exit(2)
+		}
+		err = runFigure(ctx, e, sl, *csv, *chart, rep, opts)
 	}
 	if err == nil && rep != nil {
 		err = writeReport(rep, *html)
@@ -195,28 +196,8 @@ flags:
 	flag.PrintDefaults()
 }
 
-func runFigure(ctx context.Context, id string, seeds []int64, csvPath string, chart bool, rep *report.Report, opts []runner.Option) error {
-	var fig *experiments.Figure
-	var err error
-	switch id {
-	case "fig1":
-		fig, err = experiments.Figure1Context(ctx, seeds, opts...)
-	case "fig2":
-		fig = experiments.Figure2()
-	case "fig3":
-		fig, err = experiments.Figure3Context(ctx, seeds, opts...)
-	case "fig4":
-		fig, err = experiments.Figure4Context(ctx, seeds, opts...)
-	case "fig5":
-		fig, err = experiments.Figure5Context(ctx, seeds, opts...)
-	case "fig6":
-		fig, err = experiments.Figure6Context(ctx, seeds, opts...)
-	default:
-		var ext experiments.Extension
-		if ext, err = experiments.ExtensionByID(id); err == nil {
-			fig, err = ext.Gen(ctx, seeds, opts...)
-		}
-	}
+func runFigure(ctx context.Context, e experiments.Entry, seeds []int64, csvPath string, chart bool, rep *report.Report, opts []runner.Option) error {
+	fig, err := e.Gen(ctx, seeds, opts...)
 	if err != nil {
 		return err
 	}
@@ -343,7 +324,7 @@ func runCompare(ctx context.Context, path string, seeds []int64, rep *report.Rep
 			})
 		}
 	}
-	cmp, err := harness.CompareContext(ctx, variants, seeds, opts...)
+	cmp, err := harness.Compare(ctx, variants, seeds, opts...)
 	if err != nil {
 		return err
 	}
@@ -410,7 +391,7 @@ func runSweep(ctx context.Context, args []string, seeds []int64, csvPath string,
 	if err := set(&probe, xs[0]); err != nil {
 		return err
 	}
-	sw, err := harness.SweepContext(ctx, param, xs, mk, seeds, opts...)
+	sw, err := harness.Sweep(ctx, param, xs, mk, seeds, opts...)
 	if err != nil {
 		return err
 	}

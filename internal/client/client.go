@@ -287,11 +287,6 @@ func (c *Client) logf(format string, args ...any) {
 	}
 }
 
-// Run executes the emulation and returns the figures of merit.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func (c *Client) Run() (*Result, error) { return c.RunContext(context.Background()) }
-
 // Context checks in RunContext happen between batches of simulator
 // events. Event cost varies over four orders of magnitude with the
 // scenario — a job-heavy host can spend ~0.5 s of CPU in a single

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -92,7 +93,7 @@ func TestSingleProjectKeepsCPUBusy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestEqualSharesSplitEvenly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestUnequalSharesRespected(t *testing.T) {
 		project.Spec{Name: "small", Share: 1, Apps: []project.AppSpec{cpuApp(500, 86400)}})
 	cfg.Duration = 4 * 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestGPUAndCPUBothUsed(t *testing.T) {
 		project.Spec{Name: "cpu", Share: 1, Apps: []project.AppSpec{cpuApp(1000, 86400)}},
 		project.Spec{Name: "gpu", Share: 1, Apps: []project.AppSpec{gpuApp(500, 86400)}})
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestDeterminism(t *testing.T) {
 			project.Spec{Name: "b", Share: 2, Apps: []project.AppSpec{cpuApp(900, 86400)}})
 		cfg.Duration = 86400
 		c, _ := New(cfg)
-		res, err := c.Run()
+		res, err := c.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +206,7 @@ func TestHostAvailabilityReducesThroughput(t *testing.T) {
 			project.Spec{Name: "p", Share: 1, Apps: []project.AppSpec{cpuApp(1000, 86400*5)}})
 		cfg.Duration = 4 * 86400
 		c, _ := New(cfg)
-		res, err := c.Run()
+		res, err := c.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +238,7 @@ func TestTightDeadlinesWasteUnderWRR(t *testing.T) {
 		cfg.JobSched = policy
 		cfg.Duration = 86400
 		c, _ := New(cfg)
-		res, err := c.Run()
+		res, err := c.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +258,7 @@ func TestMessageLogProduced(t *testing.T) {
 	cfg.Duration = 7200
 	cfg.Log = &sb
 	c, _ := New(cfg)
-	if _, err := c.Run(); err != nil {
+	if _, err := c.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	log := sb.String()
@@ -281,7 +282,7 @@ func TestTimelineRecorded(t *testing.T) {
 	cfg.Duration = 7200
 	cfg.RecordTimeline = true
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +304,7 @@ func TestProjectDowntimeBackoff(t *testing.T) {
 	cfg := baseConfig(smallQueueHost(1), spec)
 	cfg.Duration = 2 * 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestRRSimCacheEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.rrCacheOff = cacheOff
-		res, err := c.Run()
+		res, err := c.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +366,7 @@ func TestRPCAccountingMatchesJobFlow(t *testing.T) {
 		project.Spec{Name: "p", Share: 1, Apps: []project.AppSpec{cpuApp(2000, 86400)}})
 	cfg.Duration = 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +390,7 @@ func TestHysteresisFewerRPCs(t *testing.T) {
 		cfg.JobFetch = kind
 		cfg.Duration = 2 * 86400
 		c, _ := New(cfg)
-		res, err := c.Run()
+		res, err := c.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +409,7 @@ func TestMetricsInRange(t *testing.T) {
 		project.Spec{Name: "b", Share: 1, Apps: []project.AppSpec{cpuApp(3000, 86400)}})
 	cfg.Duration = 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +436,7 @@ func TestAvailabilityTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +466,7 @@ func TestTraceStartingOff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +492,7 @@ func TestFileTransfersDelayExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Run()
+		res, err := c.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,7 +519,7 @@ func TestUploadsGateReporting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +542,7 @@ func TestLLFEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ package client
 // that never checkpoint, estimate errors, and degenerate queues.
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -29,7 +30,7 @@ func TestProjectDownForever(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestProjectNeverHasWork(t *testing.T) {
 	cfg := baseConfig(smallQueueHost(1), spec)
 	cfg.Duration = 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestHostAlmostNeverAvailable(t *testing.T) {
 		project.Spec{Name: "p", Share: 1, Apps: []project.AppSpec{cpuApp(100, 864000)}})
 	cfg.Duration = 2 * 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestServerRefusesEverything(t *testing.T) {
 	cfg := baseConfig(smallQueueHost(1), spec)
 	cfg.Duration = 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestNeverCheckpointingAppLosesWorkOnSuspend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Run()
+		res, err := c.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func TestEstimateErrorsStillConverge(t *testing.T) {
 		project.Spec{Name: "p", Share: 1, Apps: []project.AppSpec{app}})
 	cfg.Duration = 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestManyTinyJobs(t *testing.T) {
 			Apps: []project.AppSpec{cpuApp(10, 86400)}})
 	cfg.Duration = 4 * 3600
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestGPUChannelSuspension(t *testing.T) {
 		project.Spec{Name: "gpu", Share: 1, Apps: []project.AppSpec{gpuApp(500, 864000)}})
 	cfg.Duration = 2 * 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestNetworkOutagesDelayFetch(t *testing.T) {
 		project.Spec{Name: "p", Share: 1, Apps: []project.AppSpec{cpuApp(300, 864000)}})
 	cfg.Duration = 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestWRRWithJFOrigEndToEnd(t *testing.T) {
 	cfg.JobFetch = fetch.JFOrig
 	cfg.Duration = 2 * 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestSpreadFetchEndToEnd(t *testing.T) {
 	cfg.JobFetch = fetch.JFSpread
 	cfg.Duration = 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestMemoryBoundJobsSerialise(t *testing.T) {
 		project.Spec{Name: "fat", Share: 1, Apps: []project.AppSpec{app}})
 	cfg.Duration = 86400
 	c, _ := New(cfg)
-	res, err := c.Run()
+	res, err := c.RunContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestLogContainsBackoffOnDeadProject(t *testing.T) {
 	cfg.Duration = 4 * 3600
 	cfg.Log = &sb
 	c, _ := New(cfg)
-	if _, err := c.Run(); err != nil {
+	if _, err := c.RunContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "backoff") {

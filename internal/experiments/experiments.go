@@ -1,8 +1,9 @@
 // Package experiments defines the paper's four evaluation scenarios
-// (§5) and a generator per figure. Each generator reruns the emulator
-// the way the paper's controller script did and returns the figure's
-// series; integration tests assert the paper's qualitative claims on
-// the same data, and cmd/bcectl prints it.
+// (§5) and a generator per figure, listed in one registry (All, ByID).
+// Each generator reruns the emulator the way the paper's controller
+// script did and returns the figure's series; integration tests assert
+// the paper's qualitative claims on the same data, cmd/bcectl prints
+// it, and the perf figure suite times it.
 package experiments
 
 import (
@@ -194,15 +195,7 @@ func Scenario4(jf fetch.PolicyKind, seed int64) client.Config {
 // with equal shares should each receive 15 GFLOPS — A gets 100% of the
 // CPU plus 25% of the GPU, B gets 75% of the GPU. The emulator is run
 // for 10 days and the achieved per-device throughput is reported.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func Figure1(seeds []int64) (*Figure, error) {
-	return Figure1Context(context.Background(), seeds)
-}
-
-// Figure1Context is Figure1 on the runner engine: the replicated runs
-// execute on the engine's worker pool under ctx.
-func Figure1Context(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
+func Figure1(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
 	fig := &Figure{
 		ID:     "fig1",
 		Title:  "Resource share applies to combined processing resources",
@@ -234,10 +227,11 @@ func Figure1Context(ctx context.Context, seeds []int64, opts ...runner.Option) (
 			Seed:     seed,
 		}
 	}
-	agg, err := harness.ReplicateContext(ctx, harness.Variant{Label: "fig1", Make: h}, seeds, opts...)
+	cmp, err := harness.Compare(ctx, []harness.Variant{{Label: "fig1", Make: h}}, seeds, opts...)
 	if err != nil {
 		return nil, err
 	}
+	agg := cmp.Aggs["fig1"]
 	for _, m := range agg.Raw {
 		dur := 10 * 86400.0
 		for p := 0; p < 2; p++ {
@@ -294,14 +288,7 @@ func Figure2() *Figure {
 // deadlines wastes less processing time": wasted fraction vs project
 // 1's latency bound (1000–2000 s for 1000 s jobs) under JS-WRR,
 // JS-LOCAL and JS-GLOBAL in scenario 1.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func Figure3(seeds []int64) (*Figure, error) {
-	return Figure3Context(context.Background(), seeds)
-}
-
-// Figure3Context is Figure3 on the runner engine.
-func Figure3Context(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
+func Figure3(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
 	bounds := []float64{1000, 1100, 1200, 1400, 1600, 1800, 2000}
 	variants := func(x float64) []harness.Variant {
 		return []harness.Variant{
@@ -310,7 +297,7 @@ func Figure3Context(ctx context.Context, seeds []int64, opts ...runner.Option) (
 			{Label: "JS-GLOBAL", Make: func(s int64) client.Config { return Scenario1(x, sched.JSGlobal, s) }},
 		}
 	}
-	sweep, err := harness.SweepContext(ctx, "latency_bound", bounds, variants, seeds, opts...)
+	sweep, err := harness.Sweep(ctx, "latency_bound", bounds, variants, seeds, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -333,15 +320,8 @@ func Figure3Context(ctx context.Context, seeds []int64, opts ...runner.Option) (
 // Figure4 reproduces "global accounting reduces share violation":
 // share violation (and idle fraction for context) for JS-LOCAL vs
 // JS-GLOBAL in scenario 2.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func Figure4(seeds []int64) (*Figure, error) {
-	return Figure4Context(context.Background(), seeds)
-}
-
-// Figure4Context is Figure4 on the runner engine.
-func Figure4Context(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
-	cmp, err := harness.CompareContext(ctx, []harness.Variant{
+func Figure4(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
+	cmp, err := harness.Compare(ctx, []harness.Variant{
 		{Label: "JS-LOCAL", Make: func(s int64) client.Config { return Scenario2(sched.JSLocal, s) }},
 		{Label: "JS-GLOBAL", Make: func(s int64) client.Config { return Scenario2(sched.JSGlobal, s) }},
 	}, seeds, opts...)
@@ -372,15 +352,8 @@ func Figure4Context(ctx context.Context, seeds []int64, opts ...runner.Option) (
 // RPCs/job and monotony for JF-ORIG vs JF-HYSTERESIS in scenario 4,
 // plus the JF-SPREAD hybrid (§6.2 "other policy alternatives") between
 // them.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func Figure5(seeds []int64) (*Figure, error) {
-	return Figure5Context(context.Background(), seeds)
-}
-
-// Figure5Context is Figure5 on the runner engine.
-func Figure5Context(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
-	cmp, err := harness.CompareContext(ctx, []harness.Variant{
+func Figure5(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
+	cmp, err := harness.Compare(ctx, []harness.Variant{
 		{Label: "JF-ORIG", Make: func(s int64) client.Config { return Scenario4(fetch.JFOrig, s) }},
 		{Label: "JF-HYSTERESIS", Make: func(s int64) client.Config { return Scenario4(fetch.JFHysteresis, s) }},
 		{Label: "JF-SPREAD", Make: func(s int64) client.Config { return Scenario4(fetch.JFSpread, s) }},
@@ -410,14 +383,7 @@ func Figure5Context(ctx context.Context, seeds []int64, opts ...runner.Option) (
 
 // Figure6 reproduces "credit-estimate half-life affects resource share
 // violation": share violation vs REC half-life A in scenario 3.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func Figure6(seeds []int64) (*Figure, error) {
-	return Figure6Context(context.Background(), seeds)
-}
-
-// Figure6Context is Figure6 on the runner engine.
-func Figure6Context(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
+func Figure6(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
 	halfLives := []float64{
 		0.1 * Scenario3LongJobSecs,
 		0.3 * Scenario3LongJobSecs,
@@ -430,7 +396,7 @@ func Figure6Context(ctx context.Context, seeds []int64, opts ...runner.Option) (
 			{Label: "JS-REC", Make: func(s int64) client.Config { return Scenario3(x, s) }},
 		}
 	}
-	sweep, err := harness.SweepContext(ctx, "half_life", halfLives, variants, seeds, opts...)
+	sweep, err := harness.Sweep(ctx, "half_life", halfLives, variants, seeds, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -446,4 +412,38 @@ func Figure6Context(ctx context.Context, seeds []int64, opts ...runner.Option) (
 	_, ys := sweep.Series("JS-REC", "share_violation")
 	fig.Y["JS-REC"] = ys
 	return fig, nil
+}
+
+// Entry is one figure of the registry: its ID (the bcectl command that
+// prints it) and its generator, which runs on the runner engine under
+// ctx with the given batch options.
+type Entry struct {
+	ID  string
+	Gen func(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error)
+}
+
+// All lists every figure in print order: the paper's fig1–fig6, then
+// the ext-* experiments on the repository's extensions.
+func All() []Entry {
+	return []Entry{
+		{"fig1", Figure1},
+		{"fig2", func(context.Context, []int64, ...runner.Option) (*Figure, error) { return Figure2(), nil }},
+		{"fig3", Figure3},
+		{"fig4", Figure4},
+		{"fig5", Figure5},
+		{"fig6", Figure6},
+		{"ext-transfer", ExtTransfer},
+		{"ext-fleet", ExtFleet},
+		{"ext-server", ExtServer},
+	}
+}
+
+// ByID returns the registry entry for one figure.
+func ByID(id string) (Entry, error) {
+	for _, e := range All() {
+		if e.ID == id {
+			return e, nil
+		}
+	}
+	return Entry{}, fmt.Errorf("experiments: unknown figure %q", id)
 }

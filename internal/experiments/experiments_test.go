@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"bce/internal/client"
 	"bce/internal/harness"
 	"bce/internal/host"
+	"bce/internal/runner"
 	"bce/internal/sched"
 )
 
@@ -18,7 +22,7 @@ func TestFigure1ShareSplit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation-heavy")
 	}
-	fig, err := Figure1(seeds)
+	fig, err := Figure1(context.Background(), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +76,7 @@ func TestFigure3Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation-heavy")
 	}
-	fig, err := Figure3(seeds)
+	fig, err := Figure3(context.Background(), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +106,7 @@ func TestFigure4Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation-heavy")
 	}
-	fig, err := Figure4(seeds)
+	fig, err := Figure4(context.Background(), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +124,7 @@ func TestFigure5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation-heavy")
 	}
-	fig, err := Figure5(seeds)
+	fig, err := Figure5(context.Background(), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +150,7 @@ func TestFigure6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation-heavy")
 	}
-	fig, err := Figure6(seeds)
+	fig, err := Figure6(context.Background(), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +244,15 @@ func TestHarnessIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation-heavy")
 	}
-	agg, err := harness.Replicate(harness.Variant{
+	cmp, err := harness.Compare(context.Background(), []harness.Variant{{
 		Label: "s2-local",
 		Make:  func(s int64) client.Config { return Scenario2(sched.JSLocal, s) },
-	}, []int64{1})
+	}}, []int64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := harness.Run(Scenario2(sched.JSLocal, 1))
+	agg := cmp.Aggs["s2-local"]
+	direct, err := runner.Run(context.Background(), Scenario2(sched.JSLocal, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +268,7 @@ func TestExtTransferShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation-heavy")
 	}
-	fig, err := ExtTransfer(seeds)
+	fig, err := ExtTransfer(context.Background(), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +286,7 @@ func TestExtFleetShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation-heavy")
 	}
-	fig, err := ExtFleet(seeds)
+	fig, err := ExtFleet(context.Background(), seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +303,7 @@ func TestExtServerShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation-heavy")
 	}
-	fig, err := ExtServer([]int64{1})
+	fig, err := ExtServer(context.Background(), []int64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,13 +325,33 @@ func TestExtServerShape(t *testing.T) {
 }
 
 func TestExtensionRegistry(t *testing.T) {
-	if len(Extensions()) != 3 {
-		t.Fatal("extension registry size")
+	var ids []string
+	for _, e := range All() {
+		ids = append(ids, e.ID)
 	}
-	if _, err := ExtensionByID("ext-fleet"); err != nil {
-		t.Fatal(err)
+	want := "fig1 fig2 fig3 fig4 fig5 fig6 ext-transfer ext-fleet ext-server"
+	if got := strings.Join(ids, " "); got != want {
+		t.Fatalf("registry order = %q, want %q", got, want)
 	}
-	if _, err := ExtensionByID("nope"); err == nil {
-		t.Fatal("unknown extension accepted")
+	if e, err := ByID("ext-fleet"); err != nil || e.ID != "ext-fleet" {
+		t.Fatalf("ByID(ext-fleet) = %q, %v", e.ID, err)
+	}
+	if _, err := ByID("nope"); err == nil {
+		t.Fatal("unknown figure accepted")
+	}
+}
+
+// Every generator that emulates must stop on a canceled context and
+// say why; fig2 runs no emulation.
+func TestFiguresHonorCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, e := range All() {
+		if e.ID == "fig2" {
+			continue
+		}
+		if _, err := e.Gen(ctx, seeds); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", e.ID, err)
+		}
 	}
 }

@@ -23,14 +23,7 @@ import (
 // slow-link host running urgent big-input jobs next to bulk ones
 // (§6.2 "the order in which files are uploaded and downloaded").
 // Reported value: deadline misses per emulated day, per policy.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func ExtTransfer(seeds []int64) (*Figure, error) {
-	return ExtTransferContext(context.Background(), seeds)
-}
-
-// ExtTransferContext is ExtTransfer on the runner engine.
-func ExtTransferContext(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
+func ExtTransfer(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
 	mkCfg := func(policy transfer.Policy, seed int64) client.Config {
 		h := host.StdHost(2, 2e9, 0, 0)
 		h.Prefs.MinQueue = 3600
@@ -70,15 +63,19 @@ func ExtTransferContext(ctx context.Context, seeds []int64, opts ...runner.Optio
 		X:      []float64{0, 1, 2},
 		Y:      map[string][]float64{"wasted": {}, "missed_per_day": {}},
 	}
+	var vs []harness.Variant
 	for _, pol := range []transfer.Policy{transfer.FIFO, transfer.SmallestFirst, transfer.EDF} {
-		pol := pol
-		agg, err := harness.ReplicateContext(ctx, harness.Variant{
+		vs = append(vs, harness.Variant{
 			Label: pol.String(),
 			Make:  func(s int64) client.Config { return mkCfg(pol, s) },
-		}, seeds, opts...)
-		if err != nil {
-			return nil, err
-		}
+		})
+	}
+	cmp, err := harness.Compare(ctx, vs, seeds, opts...)
+	if err != nil {
+		return nil, err
+	}
+	for _, v := range vs {
+		agg := cmp.Aggs[v.Label]
 		var missed float64
 		for _, m := range agg.Raw {
 			missed += float64(m.MissedJobs)
@@ -92,15 +89,7 @@ func ExtTransferContext(ctx context.Context, seeds []int64, opts ...runner.Optio
 
 // ExtFleet compares uniform per-host shares against fleet-planned
 // shares (§6.2 "enforcing resource share across a volunteer's hosts").
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func ExtFleet(seeds []int64) (*Figure, error) {
-	return ExtFleetContext(context.Background(), seeds)
-}
-
-// ExtFleetContext is ExtFleet on the runner engine: each fleet
-// evaluation emulates its hosts concurrently.
-func ExtFleetContext(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
+func ExtFleet(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error) {
 	mkFleet := func() *fleet.Fleet {
 		mk := func(ncpu int, cpuF float64, ngpu int, gpuF float64) *host.Host {
 			h := host.StdHost(ncpu, cpuF, ngpu, gpuF)
@@ -153,17 +142,9 @@ func ExtFleetContext(ctx context.Context, seeds []int64, opts ...runner.Option) 
 
 // ExtServer sweeps the replication level of the EmBOINC-style server
 // emulation (the §6.1 complement): validated throughput and waste per
-// replication policy.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func ExtServer(seeds []int64) (*Figure, error) {
-	return ExtServerContext(context.Background(), seeds)
-}
-
-// ExtServerContext is ExtServer with cancellation between server
-// emulations (the emserver substrate is a single sequential emulation
-// per cell, so ctx is checked at cell boundaries).
-func ExtServerContext(ctx context.Context, seeds []int64, _ ...runner.Option) (*Figure, error) {
+// replication policy. Each cell is one sequential server emulation, so
+// ctx is checked between cells and the batch options go unused.
+func ExtServer(ctx context.Context, seeds []int64, _ ...runner.Option) (*Figure, error) {
 	type combo struct {
 		label          string
 		target, quorum int
@@ -203,30 +184,4 @@ func ExtServerContext(ctx context.Context, seeds []int64, _ ...runner.Option) (*
 	}
 	fig.Notes = "2-of-3 trades waste for lower turnaround; quorum growth divides throughput"
 	return fig, nil
-}
-
-// Extension is the registry entry for an appendix experiment. Gen runs
-// on the runner engine under ctx with the given batch options.
-type Extension struct {
-	ID  string
-	Gen func(ctx context.Context, seeds []int64, opts ...runner.Option) (*Figure, error)
-}
-
-// Extensions lists the appendix experiments in order.
-func Extensions() []Extension {
-	return []Extension{
-		{"ext-transfer", ExtTransferContext},
-		{"ext-fleet", ExtFleetContext},
-		{"ext-server", ExtServerContext},
-	}
-}
-
-// ExtensionByID returns the generator for one appendix experiment.
-func ExtensionByID(id string) (Extension, error) {
-	for _, e := range Extensions() {
-		if e.ID == id {
-			return e, nil
-		}
-	}
-	return Extension{}, fmt.Errorf("experiments: unknown extension %q", id)
 }

@@ -21,8 +21,8 @@ import (
 // Variant is one policy configuration under test. Make MUST build a
 // fresh config on every call: configs hold live *host.Host pointers,
 // and the runner engine executes seeds of one variant concurrently, so
-// two runs sharing host or project state would race. Replicate rejects
-// variants whose Make returns an aliased *host.Host.
+// two runs sharing host or project state would race. Compare and Sweep
+// reject variants whose Make returns an aliased *host.Host.
 type Variant struct {
 	Label string
 	Make  func(seed int64) client.Config
@@ -49,9 +49,6 @@ type Agg struct {
 	Events uint64
 }
 
-// Metric returns the aggregated value of the i-th figure of merit.
-func (a Agg) Metric(i int) float64 { return a.Mean[i] }
-
 // MetricByName returns the aggregated value for a metric name from
 // metrics.Names.
 func (a Agg) MetricByName(name string) float64 {
@@ -63,57 +60,48 @@ func (a Agg) MetricByName(name string) float64 {
 	return math.NaN()
 }
 
-// Run executes one config and returns its result.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func Run(cfg client.Config) (*client.Result, error) {
-	return RunContext(context.Background(), cfg)
+// point is one x-value of a fan-out: its variants, and the prefix its
+// run labels carry.
+type point struct {
+	prefix string
+	vs     []Variant
 }
 
-// RunContext executes one config under ctx on the runner engine
-// (panic recovery, cancellation between simulator events).
-func RunContext(ctx context.Context, cfg client.Config) (*client.Result, error) {
-	return runner.Run(ctx, cfg)
-}
-
-// Replicate runs the variant once per seed and aggregates.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func Replicate(v Variant, seeds []int64) (Agg, error) {
-	return ReplicateContext(context.Background(), v, seeds)
-}
-
-// ReplicateContext runs the variant once per seed on the engine's
-// worker pool and aggregates. Results are accumulated in seed order,
-// so the aggregate is bit-identical to the sequential path for any
-// worker count.
-func ReplicateContext(ctx context.Context, v Variant, seeds []int64, opts ...runner.Option) (Agg, error) {
-	var agg Agg
-	if len(seeds) == 0 {
-		return agg, nil
-	}
-	if err := checkFresh(v, seeds[0]); err != nil {
-		return agg, err
-	}
-	specs := variantSpecs(v, seeds)
-	results, err := runner.Batch(ctx, specs, append(opts, runner.WithFailFast(true))...)
-	if err != nil {
-		return agg, err
-	}
-	return aggregate(results), nil
-}
-
-// variantSpecs fans one variant out across seeds.
-func variantSpecs(v Variant, seeds []int64) []runner.Spec {
-	specs := make([]runner.Spec, len(seeds))
-	for i, seed := range seeds {
-		seed := seed
-		specs[i] = runner.Spec{
-			Label: fmt.Sprintf("%s (seed %d)", v.Label, seed),
-			Make:  func() (client.Config, error) { return v.Make(seed), nil },
+// fanOut is the controller's one fan-out. It checks every variant at
+// every point for fresh state, runs all (point, variant, seed) runs as
+// one fail-fast batch so the worker pool stays saturated across
+// boundaries, and folds each variant's seeds in seed order, so the
+// aggregates are bit-identical for any worker count.
+func fanOut(ctx context.Context, pts []point, seeds []int64, opts []runner.Option) ([]map[string]Agg, error) {
+	var specs []runner.Spec
+	for _, pt := range pts {
+		for _, v := range pt.vs {
+			if len(seeds) > 0 {
+				if err := checkFresh(v, seeds[0]); err != nil {
+					return nil, err
+				}
+			}
+			for _, seed := range seeds {
+				specs = append(specs, runner.Spec{
+					Label: fmt.Sprintf("%s%s (seed %d)", pt.prefix, v.Label, seed),
+					Make:  func() (client.Config, error) { return v.Make(seed), nil },
+				})
+			}
 		}
 	}
-	return specs
+	results, err := runner.Batch(ctx, specs, append(opts, runner.WithFailFast(true))...)
+	if err != nil {
+		return nil, err
+	}
+	aggs := make([]map[string]Agg, len(pts))
+	for pi, pt := range pts {
+		aggs[pi] = make(map[string]Agg)
+		for _, v := range pt.vs {
+			aggs[pi][v.Label] = aggregate(results[:len(seeds)])
+			results = results[len(seeds):]
+		}
+	}
+	return aggs, nil
 }
 
 // aggregate folds completed runs, in batch order, into an Agg.
@@ -150,38 +138,16 @@ type Comparison struct {
 	Aggs     map[string]Agg
 }
 
-// Compare replicates every variant over the same seeds.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func Compare(vs []Variant, seeds []int64) (*Comparison, error) {
-	return CompareContext(context.Background(), vs, seeds)
-}
-
-// CompareContext replicates every variant over the same seeds,
-// flattening all (variant, seed) runs into one batch so the worker
-// pool stays saturated across variant boundaries. Per-variant
-// aggregation happens in (variant, seed) order, so the comparison is
-// bit-identical to the sequential path for any worker count.
-func CompareContext(ctx context.Context, vs []Variant, seeds []int64, opts ...runner.Option) (*Comparison, error) {
-	c := &Comparison{Aggs: make(map[string]Agg)}
-	if len(seeds) > 0 {
-		for _, v := range vs {
-			if err := checkFresh(v, seeds[0]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	var specs []runner.Spec
-	for _, v := range vs {
-		specs = append(specs, variantSpecs(v, seeds)...)
-	}
-	results, err := runner.Batch(ctx, specs, append(opts, runner.WithFailFast(true))...)
+// Compare replicates every variant over the same seeds under ctx: the
+// fan-out at a single point.
+func Compare(ctx context.Context, vs []Variant, seeds []int64, opts ...runner.Option) (*Comparison, error) {
+	aggs, err := fanOut(ctx, []point{{vs: vs}}, seeds, opts)
 	if err != nil {
 		return nil, err
 	}
-	for vi, v := range vs {
+	c := &Comparison{Aggs: aggs[0]}
+	for _, v := range vs {
 		c.Variants = append(c.Variants, v.Label)
-		c.Aggs[v.Label] = aggregate(results[vi*len(seeds) : (vi+1)*len(seeds)])
 	}
 	return c, nil
 }
@@ -221,56 +187,26 @@ type SweepResult struct {
 	Points   []SweepPoint
 }
 
-// Sweep runs every variant at every parameter value. The variant's Make
-// receives the seed; mk wraps a parameterised variant constructor.
-//
-//bce:ctxshim convenience wrapper; roots a background context and delegates to the Context variant
-func Sweep(param string, xs []float64, mk func(x float64) []Variant, seeds []int64) (*SweepResult, error) {
-	return SweepContext(context.Background(), param, xs, mk, seeds)
-}
-
-// SweepContext runs every variant at every parameter value, flattening
-// all (point, variant, seed) runs into one batch for the worker pool.
-// Aggregation order is fixed, so the sweep is bit-identical to the
-// sequential path for any worker count.
-func SweepContext(ctx context.Context, param string, xs []float64, mk func(x float64) []Variant, seeds []int64, opts ...runner.Option) (*SweepResult, error) {
-	res := &SweepResult{Param: param}
-	var specs []runner.Spec
-	var vsAt [][]Variant
-	for _, x := range xs {
-		vs := mk(x)
-		if res.Variants == nil {
-			for _, v := range vs {
-				res.Variants = append(res.Variants, v.Label)
-			}
-			if len(seeds) > 0 {
-				for _, v := range vs {
-					if err := checkFresh(v, seeds[0]); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		for _, v := range vs {
-			sp := variantSpecs(v, seeds)
-			for i := range sp {
-				sp[i].Label = fmt.Sprintf("%s=%v: %s", param, x, sp[i].Label)
-			}
-			specs = append(specs, sp...)
-		}
-		res.Points = append(res.Points, SweepPoint{X: x, Aggs: make(map[string]Agg)})
-		vsAt = append(vsAt, vs)
+// Sweep runs every variant at every parameter value under ctx; mk
+// builds the variants for one value, and each variant's Make receives
+// the seed. Tables list the variants of the first value that has any.
+func Sweep(ctx context.Context, param string, xs []float64, mk func(x float64) []Variant, seeds []int64, opts ...runner.Option) (*SweepResult, error) {
+	pts := make([]point, len(xs))
+	for i, x := range xs {
+		pts[i] = point{prefix: fmt.Sprintf("%s=%v: ", param, x), vs: mk(x)}
 	}
-	results, err := runner.Batch(ctx, specs, append(opts, runner.WithFailFast(true))...)
+	aggs, err := fanOut(ctx, pts, seeds, opts)
 	if err != nil {
 		return nil, err
 	}
-	off := 0
-	for pi := range res.Points {
-		for _, v := range vsAt[pi] {
-			res.Points[pi].Aggs[v.Label] = aggregate(results[off : off+len(seeds)])
-			off += len(seeds)
+	res := &SweepResult{Param: param}
+	for i, x := range xs {
+		if res.Variants == nil {
+			for _, v := range pts[i].vs {
+				res.Variants = append(res.Variants, v.Label)
+			}
 		}
+		res.Points = append(res.Points, SweepPoint{X: x, Aggs: aggs[i]})
 	}
 	return res, nil
 }

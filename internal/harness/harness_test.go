@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -40,27 +41,12 @@ func tinyVariant(label string) Variant {
 	return Variant{Label: label, Make: tinyConfig}
 }
 
-func TestRun(t *testing.T) {
-	res, err := Run(tinyConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.CompletedJobs == 0 {
-		t.Fatal("no jobs completed")
-	}
-}
-
-func TestRunInvalid(t *testing.T) {
-	if _, err := Run(client.Config{}); err == nil {
-		t.Fatal("invalid config accepted")
-	}
-}
-
 func TestReplicateAggregates(t *testing.T) {
-	agg, err := Replicate(tinyVariant("x"), Seeds(3))
+	cmp, err := Compare(context.Background(), []Variant{tinyVariant("x")}, Seeds(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg := cmp.Aggs["x"]
 	if agg.N != 3 || len(agg.Raw) != 3 {
 		t.Fatalf("agg.N = %d, want 3", agg.N)
 	}
@@ -90,7 +76,7 @@ func TestSeedsDeterministic(t *testing.T) {
 }
 
 func TestCompareAndTable(t *testing.T) {
-	cmp, err := Compare([]Variant{tinyVariant("A"), tinyVariant("B")}, Seeds(2))
+	cmp, err := Compare(context.Background(), []Variant{tinyVariant("A"), tinyVariant("B")}, Seeds(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +103,7 @@ func TestSweep(t *testing.T) {
 			return cfg
 		}}}
 	}
-	sw, err := Sweep("duration", []float64{200, 400}, mk, Seeds(1))
+	sw, err := Sweep(context.Background(), "duration", []float64{200, 400}, mk, Seeds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +122,7 @@ func TestSweep(t *testing.T) {
 
 func TestSweepCSV(t *testing.T) {
 	mk := func(x float64) []Variant { return []Variant{tinyVariant("v")} }
-	sw, err := Sweep("p", []float64{1}, mk, Seeds(1))
+	sw, err := Sweep(context.Background(), "p", []float64{1}, mk, Seeds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +142,7 @@ func TestSweepCSV(t *testing.T) {
 
 func TestChart(t *testing.T) {
 	mk := func(x float64) []Variant { return []Variant{tinyVariant("v")} }
-	sw, err := Sweep("p", []float64{1, 2, 3}, mk, Seeds(1))
+	sw, err := Sweep(context.Background(), "p", []float64{1, 2, 3}, mk, Seeds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,16 +167,31 @@ func staleVariant() Variant {
 }
 
 func TestReplicateRejectsSharedHost(t *testing.T) {
-	if _, err := Replicate(staleVariant(), Seeds(2)); err == nil ||
+	if _, err := Compare(context.Background(), []Variant{staleVariant()}, Seeds(2)); err == nil ||
 		!strings.Contains(err.Error(), "shared *host.Host") {
 		t.Fatalf("want shared-host rejection, got %v", err)
 	}
 }
 
 func TestCompareRejectsSharedHost(t *testing.T) {
-	_, err := Compare([]Variant{tinyVariant("ok"), staleVariant()}, Seeds(2))
+	_, err := Compare(context.Background(), []Variant{tinyVariant("ok"), staleVariant()}, Seeds(2))
 	if err == nil || !strings.Contains(err.Error(), "stale") {
 		t.Fatalf("want shared-host rejection naming the variant, got %v", err)
+	}
+}
+
+// Every sweep point builds its own variants, so each one must pass the
+// fresh-state check, not only the first point's.
+func TestSweepRejectsSharedHostAtLaterPoint(t *testing.T) {
+	mk := func(x float64) []Variant {
+		if x == 2 {
+			return []Variant{staleVariant()}
+		}
+		return []Variant{tinyVariant("stale")}
+	}
+	_, err := Sweep(context.Background(), "x", []float64{1, 2}, mk, Seeds(2))
+	if err == nil || !strings.Contains(err.Error(), "shared *host.Host") {
+		t.Fatalf("want shared-host rejection at x=2, got %v", err)
 	}
 }
 

@@ -11,8 +11,8 @@
 //     -bench` via the root bench_test.go, so a human's benchmark run
 //     and the ledger's are the same code.
 //   - The runner (RunSuite) controls HOW: it executes the suite via
-//     testing.Benchmark with a configurable benchtime, so CI can smoke
-//     at -benchtime 1x while measurement runs use wall-clock targets.
+//     testing.Benchmark with a configurable benchtime, so CI can gate
+//     at -benchtime 10x while measurement runs use wall-clock targets.
 //   - The ledger (Ledger, Save, Latest) records WHERE IT CAME FROM:
 //     ns/op, allocs/op, custom metrics, the commit, and a host
 //     fingerprint, because a trajectory of numbers without provenance

@@ -362,96 +362,84 @@ func BenchSimEventLoop(b *testing.B) {
 	}
 }
 
-// BenchFig1 regenerates Figure 1 (resource share applies to the host's
-// combined processing resources).
-func BenchFig1(b *testing.B) {
+// benchFigure regenerates one registry figure per iteration and hands
+// it to report, which records the figure's headline values as custom
+// metrics.
+func benchFigure(b *testing.B, id string, report func(fig *experiments.Figure)) {
+	e, err := experiments.ByID(id)
+	if err != nil {
+		b.Fatal(err)
+	}
+	//bce:ctxshim a benchmark is a call-tree root; there is no caller context to thread
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure1(benchSeeds)
+		fig, err := e.Gen(ctx, benchSeeds)
 		if err != nil {
 			b.Fatal(err)
 		}
+		report(fig)
+	}
+}
+
+// BenchFig1 regenerates Figure 1 (resource share applies to the host's
+// combined processing resources).
+func BenchFig1(b *testing.B) {
+	benchFigure(b, "fig1", func(fig *experiments.Figure) {
 		b.ReportMetric(fig.Y["total"][0], "A_GFLOPS")
 		b.ReportMetric(fig.Y["total"][1], "B_GFLOPS")
 		b.ReportMetric(fig.Y["CPU"][0], "A_CPU_GFLOPS")
 		b.ReportMetric(fig.Y["GPU"][1], "B_GPU_GFLOPS")
-	}
+	})
 }
 
 // BenchFig2 regenerates Figure 2 (round-robin simulation busy-time
 // prediction).
 func BenchFig2(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig := experiments.Figure2()
+	benchFigure(b, "fig2", func(fig *experiments.Figure) {
 		b.ReportMetric(float64(len(fig.X)), "trace_steps")
-	}
+	})
 }
 
 // BenchFig3 regenerates Figure 3 (EDF scheduling reduces wasted
 // processing).
 func BenchFig3(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure3(benchSeeds)
-		if err != nil {
-			b.Fatal(err)
-		}
+	benchFigure(b, "fig3", func(fig *experiments.Figure) {
 		last := len(fig.X) - 1
 		b.ReportMetric(fig.Y["JS-WRR"][0], "wrr_wasted_slack0")
 		b.ReportMetric(fig.Y["JS-LOCAL"][0], "local_wasted_slack0")
 		b.ReportMetric(fig.Y["JS-WRR"][last], "wrr_wasted_slackmax")
 		b.ReportMetric(fig.Y["JS-LOCAL"][last], "local_wasted_slackmax")
-	}
+	})
 }
 
 // BenchFig4 regenerates Figure 4 (global accounting reduces share
 // violation).
 func BenchFig4(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure4(benchSeeds)
-		if err != nil {
-			b.Fatal(err)
-		}
+	benchFigure(b, "fig4", func(fig *experiments.Figure) {
 		b.ReportMetric(fig.Y["JS-LOCAL"][0], "local_violation")
 		b.ReportMetric(fig.Y["JS-GLOBAL"][0], "global_violation")
-	}
+	})
 }
 
 // BenchFig5 regenerates Figure 5 (fetch hysteresis reduces RPCs per
 // job, increases monotony).
 func BenchFig5(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure5(benchSeeds)
-		if err != nil {
-			b.Fatal(err)
-		}
+	benchFigure(b, "fig5", func(fig *experiments.Figure) {
 		b.ReportMetric(fig.Y["JF-ORIG"][0], "orig_rpcs_per_job")
 		b.ReportMetric(fig.Y["JF-HYSTERESIS"][0], "hyst_rpcs_per_job")
 		b.ReportMetric(fig.Y["JF-ORIG"][1], "orig_monotony")
 		b.ReportMetric(fig.Y["JF-HYSTERESIS"][1], "hyst_monotony")
-	}
+	})
 }
 
 // BenchFig6 regenerates Figure 6 (longer REC half-life reduces share
 // violation with long low-slack jobs).
 func BenchFig6(b *testing.B) {
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig, err := experiments.Figure6(benchSeeds)
-		if err != nil {
-			b.Fatal(err)
-		}
+	benchFigure(b, "fig6", func(fig *experiments.Figure) {
 		ys := fig.Y["JS-REC"]
 		b.ReportMetric(ys[0], "violation_shortest_halflife")
 		b.ReportMetric(ys[len(ys)-1], "violation_longest_halflife")
-	}
+	})
 }

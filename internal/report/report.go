@@ -168,11 +168,6 @@ func (r *Report) AddSweep(heading string, sw *harness.SweepResult, metric string
 	})
 }
 
-// AddProse adds a text-only section.
-func (r *Report) AddProse(heading, text string) {
-	r.sections = append(r.sections, section{Heading: heading, Prose: text})
-}
-
 var page = template.Must(template.New("report").Parse(`<!doctype html>
 <html><head><meta charset="utf-8"><title>{{.Title}}</title>
 <style>

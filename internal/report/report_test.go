@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -95,7 +96,7 @@ func TestBarFigureSection(t *testing.T) {
 }
 
 func TestComparisonSection(t *testing.T) {
-	cmp, err := harness.Compare([]harness.Variant{tinyVariant("P1"), tinyVariant("P2")}, harness.Seeds(1))
+	cmp, err := harness.Compare(context.Background(), []harness.Variant{tinyVariant("P1"), tinyVariant("P2")}, harness.Seeds(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestComparisonSection(t *testing.T) {
 }
 
 func TestSweepSection(t *testing.T) {
-	sw, err := harness.Sweep("x", []float64{1, 2, 3},
+	sw, err := harness.Sweep(context.Background(), "x", []float64{1, 2, 3},
 		func(x float64) []harness.Variant { return []harness.Variant{tinyVariant("v")} },
 		harness.Seeds(1))
 	if err != nil {
@@ -125,8 +126,10 @@ func TestSweepSection(t *testing.T) {
 }
 
 func TestProseEscaped(t *testing.T) {
+	fig := barFigure()
+	fig.Notes = "<script>alert(1)</script>"
 	r := New("esc")
-	r.AddProse("notes", "<script>alert(1)</script>")
+	r.AddFigure(fig)
 	html := render(t, r)
 	if strings.Contains(html, "<script>alert") {
 		t.Fatal("prose not escaped")

@@ -28,7 +28,7 @@ import (
 type Job struct {
 	Task *job.Task // identity only; not mutated
 
-	// Inputs (captured from the task by NewJob).
+	// Inputs (the client copies them from the task before each pass).
 	Project   int
 	Type      host.ProcType
 	Instances float64 // instances of Type occupied
@@ -38,18 +38,6 @@ type Job struct {
 	// Outputs.
 	ProjectedFinish float64 // absolute time; +Inf if it never finishes
 	Endangered      bool    // projected to miss its deadline
-}
-
-// NewJob captures the simulation view of a client task.
-func NewJob(t *job.Task) *Job {
-	return &Job{
-		Task:      t,
-		Project:   t.Project,
-		Type:      t.Usage.Type(),
-		Instances: t.Usage.Instances(),
-		Remaining: t.EstRemaining(),
-		Deadline:  t.Deadline,
-	}
 }
 
 // Input parameterises one simulation run.

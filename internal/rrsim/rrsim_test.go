@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"bce/internal/host"
-	"bce/internal/job"
 )
 
 func mkJob(p int, instances, remaining, deadline float64) *Job {
@@ -385,21 +384,6 @@ func TestPropertyMoreLoadDelays(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNewJobCapturesTask(t *testing.T) {
-	tk := &job.Task{
-		Name: "x", Project: 2,
-		Usage:    job.Usage{AvgCPUs: 0.3, GPUType: host.NvidiaGPU, GPUUsage: 0.5},
-		Duration: 100, EstDuration: 150, Deadline: 999,
-	}
-	j := NewJob(tk)
-	if j.Project != 2 || j.Type != host.NvidiaGPU || j.Instances != 0.5 {
-		t.Fatalf("NewJob capture wrong: %+v", j)
-	}
-	if j.Remaining != 150 || j.Deadline != 999 {
-		t.Fatalf("NewJob remaining/deadline wrong: %+v", j)
 	}
 }
 

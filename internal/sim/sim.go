@@ -113,15 +113,10 @@ func (s *Simulator) After(d float64, fn func()) *Timer {
 	return s.schedule(s.now+d, fn, false)
 }
 
-// PostAt schedules fn at absolute time t fire-and-forget: no handle is
-// returned, so the timer cannot be cancelled, and its struct is
-// recycled after firing. Use it for the self-rescheduling chains that
-// dominate an emulation's event count.
-func (s *Simulator) PostAt(t float64, fn func()) {
-	s.schedule(t, fn, true)
-}
-
-// Post schedules fn to run d seconds from now, fire-and-forget.
+// Post schedules fn to run d seconds from now, fire-and-forget: no
+// handle is returned, so the timer cannot be cancelled, and its struct
+// is recycled after firing. Use it for the self-rescheduling chains
+// that dominate an emulation's event count.
 func (s *Simulator) Post(d float64, fn func()) {
 	if d < 0 {
 		d = 0
@@ -205,19 +200,6 @@ func (s *Simulator) Cancel(t *Timer) {
 	t.canceled = true
 	heap.Remove(&s.events, t.index)
 	t.index = -1
-}
-
-// Reschedule moves t's callback to a new absolute time, returning the
-// (possibly identical) timer handle. A still-pending timer is moved in
-// place; a fired or cancelled one gets a fresh timer for the same
-// callback — the two cases are distinguishable via Fired()/Canceled()
-// on the old handle, and neither can double-fire.
-func (s *Simulator) Reschedule(t *Timer, at float64) *Timer {
-	if t.Pending() {
-		s.Move(t, at)
-		return t
-	}
-	return s.At(at, t.fn)
 }
 
 // Step fires the next event, advancing the clock to its time.

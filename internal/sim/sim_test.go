@@ -118,7 +118,7 @@ func TestReschedule(t *testing.T) {
 	s := New()
 	var at float64
 	tm := s.At(1, func() { at = s.Now() })
-	s.At(0.5, func() { s.Reschedule(tm, 7) })
+	s.At(0.5, func() { s.Move(tm, 7) })
 	s.Run()
 	if at != 7 {
 		t.Fatalf("rescheduled timer fired at %v, want 7", at)
@@ -339,40 +339,5 @@ func TestTimerCancelledState(t *testing.T) {
 	}
 	if tm.Fired() {
 		t.Fatal("cancelled timer reports Fired()")
-	}
-}
-
-// Reschedule must work from all three handle states: move a pending
-// timer, revive a fired one, revive a cancelled one.
-func TestTimerRescheduleFromEachState(t *testing.T) {
-	s := New()
-	count := 0
-	fn := func() { count++ }
-
-	pending := s.At(5, fn)
-	pending = s.Reschedule(pending, 7)
-	if !pending.Pending() {
-		t.Fatal("rescheduled pending timer not pending")
-	}
-
-	cancelled := s.At(6, fn)
-	s.Cancel(cancelled)
-	revived := s.Reschedule(cancelled, 8)
-	if !revived.Pending() {
-		t.Fatal("rescheduling a cancelled timer did not yield a pending one")
-	}
-
-	s.RunUntil(10)
-	if count != 2 {
-		t.Fatalf("fired %d timers, want 2 (moved + revived)", count)
-	}
-
-	again := s.Reschedule(pending, 12)
-	if !again.Pending() {
-		t.Fatal("rescheduling a fired timer did not yield a pending one")
-	}
-	s.RunUntil(15)
-	if count != 3 {
-		t.Fatalf("fired %d, want 3 after reviving the fired timer", count)
 	}
 }
