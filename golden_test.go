@@ -75,6 +75,23 @@ func goldenScenarios() []*bce.Scenario {
 		},
 	})
 
+	// The slowest host shape of the fleet deck: a 36 h buffer of short
+	// jobs on 16 CPUs keeps well over a thousand tasks queued, nearly
+	// all deadline-endangered, so every pass drains long rr_sim groups
+	// and orders a deep endangered list.
+	out = append(out, &bce.Scenario{
+		Name: "deep-endangered", DurationDays: 0.25, Seed: 21,
+		Host: bce.HostJSON{NCPU: 16, CPUGFlops: 5, MemGB: 32, MinQueueHours: 8, MaxQueueHours: 36},
+		Projects: []bce.ProjectJSON{
+			{Name: "a", Share: 200, Apps: []bce.AppJSON{
+				{Name: "x", NCPUs: 1, MeanSecs: 580, StdevSecs: 80, LatencySecs: 2200},
+			}},
+			{Name: "b", Share: 25, Apps: []bce.AppJSON{
+				{Name: "y", NCPUs: 1, MeanSecs: 330, StdevSecs: 80, LatencySecs: 7100},
+			}},
+		},
+	})
+
 	// GPU + CPU mix with distinct shares and an unavailable stretch.
 	out = append(out, &bce.Scenario{
 		Name: "gpu-mix", DurationDays: 2, Seed: 3,

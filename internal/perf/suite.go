@@ -32,6 +32,8 @@ func HotSuite() []Bench {
 		{Name: "fetch_decide", Doc: "all three fetch policies over 16 projects", F: BenchFetchDecide},
 		{Name: "rrsim_pass", Doc: "one round-robin simulation pass, 600 jobs, 2 projects", F: BenchRRSimPass},
 		{Name: "sim_eventloop", Doc: "event kernel under a client-like timer/reschedule pattern", F: BenchSimEventLoop},
+		{Name: "rrsim_deep", Doc: "one round-robin simulation pass, 16 CPUs, 1,500 jobs in arrival batches", F: BenchRRSimDeep},
+		{Name: "sched_queue", Doc: "one scheduling pass over the same 1,500 tasks, all endangered", F: BenchSchedQueue},
 	}
 }
 
@@ -316,6 +318,108 @@ func BenchRRSimPass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := s.Run(in)
 		sink = res.NumEndangered
+	}
+}
+
+// The deep-queue shape of the fleet deck's slowest host: 1,500 one-CPU
+// jobs on 16 CPUs, arriving in 14-job batches 30 s apart. One batch in
+// nine belongs to the second project. Shares are 200/25, mean run
+// times 580 s and 330 s (±80 s), and each deadline is the receipt time
+// plus the app's latency bound.
+const (
+	deepJobs  = 1500
+	deepBatch = 14
+	deepNow   = 30 * (deepJobs/deepBatch + 1)
+)
+
+var (
+	deepSecs    = [2]float64{580, 330}
+	deepLatency = [2]float64{2200, 7100}
+)
+
+// deepJob returns queue entry i's project, receipt time and estimated
+// run time.
+func deepJob(i int) (project int, received, secs float64) {
+	batch := i / deepBatch
+	if batch%9 == 8 {
+		project = 1
+	}
+	jitter := float64((i*2654435761)%161 - 80)
+	return project, 30 * float64(batch), deepSecs[project] + jitter
+}
+
+// BenchRRSimDeep measures one round-robin simulation pass over the deep
+// queue with a persistent, pre-warmed Simulator and Result (the
+// client's usage pattern). Seating fills each group from its arrival
+// front, so the jobs that finish first sit at the head of long groups.
+func BenchRRSimDeep(b *testing.B) {
+	h := host.StdHost(16, 5e9, 0, 0)
+	in := rrsim.Input{
+		Now:        deepNow,
+		Hardware:   &h.Hardware,
+		Shares:     []float64{200, 25},
+		HorizonMin: 8 * 3600,
+		HorizonMax: 36 * 3600,
+	}
+	for i := 0; i < deepJobs; i++ {
+		p, recv, secs := deepJob(i)
+		in.Jobs = append(in.Jobs, &rrsim.Job{
+			Project: p, Type: host.CPU, Instances: 1,
+			Remaining: secs, Deadline: recv + deepLatency[p],
+		})
+	}
+	s := rrsim.New()
+	res := &rrsim.Result{}
+	s.RunInto(res, in) // size the scratch outside the measurement
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.RunInto(res, in)
+		sink = res.NumEndangered
+	}
+}
+
+// BenchSchedQueue measures one scheduling pass with a persistent,
+// pre-warmed Enforcer over the deep queue as tasks: all of them
+// deadline-endangered and the first 16 running, which in arrival order
+// makes 12 ascending runs of deadlines, the most any pass of the fleet
+// deck sees.
+func BenchSchedQueue(b *testing.B) {
+	h := host.StdHost(16, 5e9, 0, 0)
+	tasks := make([]*job.Task, deepJobs)
+	for i := range tasks {
+		p, recv, secs := deepJob(i)
+		t := &job.Task{
+			Name:             fmt.Sprintf("t%d", i),
+			Project:          p,
+			Usage:            job.Usage{AvgCPUs: 1, MemBytes: 50e6},
+			Duration:         secs,
+			EstDuration:      secs,
+			ReceivedAt:       recv,
+			Deadline:         recv + deepLatency[p],
+			CheckpointPeriod: 60,
+		}
+		if i < 16 {
+			t.Start(deepNow - 90)
+			t.Work, t.Checkpointed = 90, 60
+		}
+		tasks[i] = t
+	}
+	in := sched.Input{
+		Policy:     sched.JSGlobal,
+		Hardware:   &h.Hardware,
+		Now:        deepNow,
+		Tasks:      tasks,
+		Endangered: func(*job.Task) bool { return true },
+		Prio:       func(p int, _ host.ProcType) float64 { return -float64(p) },
+		GPUAllowed: true,
+	}
+	var e sched.Enforcer
+	e.Enforce(in) // size the scratch outside the measurement
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = len(e.Enforce(in).Run)
 	}
 }
 

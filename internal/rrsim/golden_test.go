@@ -297,42 +297,102 @@ func randomWorkload(rng *rand.Rand) (Input, []*Job, []*Job) {
 	return in, a, b
 }
 
+// deepWorkload builds a randomized deep queue like randomWorkload's,
+// but shaped like a job-heavy client's: hundreds to thousands of jobs
+// on many CPUs, few projects, and integral Instances, so every group
+// is exact and drains by in-place removal over many finishes.
+func deepWorkload(rng *rand.Rand) (Input, []*Job, []*Job) {
+	nproj := 1 + rng.Intn(3)
+	shares := make([]float64, nproj)
+	for p := range shares {
+		shares[p] = float64(25 * (1 + rng.Intn(8)))
+	}
+	hw := &host.Hardware{}
+	hw.Proc[host.CPU] = host.Resource{Count: 4 + rng.Intn(61), FLOPSPerInst: 1e9}
+	hw.Proc[host.NvidiaGPU] = host.Resource{Count: 1 + rng.Intn(2), FLOPSPerInst: 1e11}
+
+	now := rng.Float64() * 1e6
+	in := Input{
+		Now:            now,
+		Hardware:       hw,
+		Shares:         shares,
+		HorizonMin:     8 * 3600,
+		HorizonMax:     36 * 3600,
+		DeadlineMargin: float64(rng.Intn(3)) * 60,
+	}
+	if rng.Intn(2) == 0 {
+		in.OnFrac[host.CPU] = 0.5 + 0.5*rng.Float64()
+	}
+
+	njobs := 300 + rng.Intn(1701)
+	a := make([]*Job, njobs)
+	b := make([]*Job, njobs)
+	for i := range a {
+		j := Job{
+			Project:   rng.Intn(nproj),
+			Type:      host.CPU,
+			Instances: []float64{1, 1, 1, 2, 4}[rng.Intn(5)],
+			Remaining: 60 + rng.Float64()*1200,
+			Deadline:  now + rng.Float64()*2*86400,
+		}
+		if rng.Intn(10) == 0 {
+			j.Type = host.NvidiaGPU
+			j.Instances = 1
+		}
+		cp := j
+		a[i] = &j
+		b[i] = &cp
+	}
+	in.Jobs = a
+	return in, a, b
+}
+
 // TestGoldenCompare checks that the Simulator produces bit-identical
 // results to the frozen reference implementation on seeded random
 // workloads — every Result field and every per-job output, compared
-// with ==, no tolerance.
+// with ==, no tolerance. The shallow family covers every input
+// corner; the deep family drains exact groups of hundreds of members.
 func TestGoldenCompare(t *testing.T) {
 	sim := New() // reused across cases to exercise scratch-buffer reuse
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		in, jobsNew, jobsRef := randomWorkload(rng)
+	for _, fam := range []struct {
+		name  string
+		seeds int64
+		gen   func(*rand.Rand) (Input, []*Job, []*Job)
+	}{
+		{"shallow", 200, randomWorkload},
+		{"deep", 12, deepWorkload},
+	} {
+		for seed := int64(0); seed < fam.seeds; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			in, jobsNew, jobsRef := fam.gen(rng)
 
-		in.Jobs = jobsRef
-		want := referenceRun(in)
-		in.Jobs = jobsNew
-		got := sim.Run(in)
+			in.Jobs = jobsRef
+			want := referenceRun(in)
+			in.Jobs = jobsNew
+			got := sim.Run(in)
 
-		if got.ShortfallMin != want.ShortfallMin || got.ShortfallMax != want.ShortfallMax ||
-			got.Saturated != want.Saturated || got.IdleNow != want.IdleNow ||
-			got.NumEndangered != want.NumEndangered {
-			t.Fatalf("seed %d: Result mismatch\n got %+v\nwant %+v", seed, got, want)
-		}
-		if len(got.Trace) != len(want.Trace) {
-			t.Fatalf("seed %d: trace length %d != %d", seed, len(got.Trace), len(want.Trace))
-		}
-		for i := range got.Trace {
-			if got.Trace[i] != want.Trace[i] {
-				t.Fatalf("seed %d: trace step %d: got %+v want %+v", seed, i, got.Trace[i], want.Trace[i])
+			if got.ShortfallMin != want.ShortfallMin || got.ShortfallMax != want.ShortfallMax ||
+				got.Saturated != want.Saturated || got.IdleNow != want.IdleNow ||
+				got.NumEndangered != want.NumEndangered {
+				t.Fatalf("%s seed %d: Result mismatch\n got %+v\nwant %+v", fam.name, seed, got, want)
 			}
-		}
-		for i := range jobsNew {
-			g, w := jobsNew[i], jobsRef[i]
-			// Compare bit patterns so +Inf == +Inf and the test would
-			// catch a NaN regression too.
-			if math.Float64bits(g.ProjectedFinish) != math.Float64bits(w.ProjectedFinish) ||
-				g.Endangered != w.Endangered {
-				t.Fatalf("seed %d job %d: got finish=%v endangered=%v, want finish=%v endangered=%v",
-					seed, i, g.ProjectedFinish, g.Endangered, w.ProjectedFinish, w.Endangered)
+			if len(got.Trace) != len(want.Trace) {
+				t.Fatalf("%s seed %d: trace length %d != %d", fam.name, seed, len(got.Trace), len(want.Trace))
+			}
+			for i := range got.Trace {
+				if got.Trace[i] != want.Trace[i] {
+					t.Fatalf("%s seed %d: trace step %d: got %+v want %+v", fam.name, seed, i, got.Trace[i], want.Trace[i])
+				}
+			}
+			for i := range jobsNew {
+				g, w := jobsNew[i], jobsRef[i]
+				// Compare bit patterns so +Inf == +Inf and the test would
+				// catch a NaN regression too.
+				if math.Float64bits(g.ProjectedFinish) != math.Float64bits(w.ProjectedFinish) ||
+					g.Endangered != w.Endangered {
+					t.Fatalf("%s seed %d job %d: got finish=%v endangered=%v, want finish=%v endangered=%v",
+						fam.name, seed, i, g.ProjectedFinish, g.Endangered, w.ProjectedFinish, w.Endangered)
+				}
 			}
 		}
 	}

@@ -106,7 +106,7 @@ type Simulator struct {
 	// project p in arrival order, so the seating loop visits exactly
 	// the jobs it concerns instead of scanning the whole queue once
 	// per project. Jobs leave their group as they complete.
-	groups [host.NumProcTypes][][]int32
+	groups [host.NumProcTypes][]group
 
 	// demand[t][p] caches group (t,p)'s unfinished instance demand.
 	// Demand only changes when a member job finishes, so instead of
@@ -130,6 +130,20 @@ type Simulator struct {
 	// stays valid until a type-t group goes dirty and is rebuilt then.
 	seats [host.NumProcTypes][]seat
 }
+
+// group is one (type, project) job group: its members are
+// buf[head:], in arrival order. A finishing member of an exact group
+// leaves by shifting the members ahead of it one slot right and
+// advancing head. Seating fills a group from the front, so a finishing
+// job sits among the first few members and the shift is short, where
+// closing the gap from the tail would move nearly the whole group.
+type group struct {
+	buf  []int32
+	head int
+}
+
+// members returns the group's current members in arrival order.
+func (g *group) members() []int32 { return g.buf[g.head:] }
 
 // groupKey names one (type, project) job group.
 type groupKey struct {
@@ -213,10 +227,10 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 	// demand and the seating loop would skip them anyway.
 	for t := range s.groups {
 		for len(s.groups[t]) < nproj {
-			s.groups[t] = append(s.groups[t], nil)
+			s.groups[t] = append(s.groups[t], group{})
 		}
 		for p := 0; p < nproj; p++ {
-			s.groups[t][p] = s.groups[t][p][:0]
+			s.groups[t][p] = group{buf: s.groups[t][p].buf[:0]}
 		}
 	}
 	// Demand accumulates during the same scan, job by job in arrival
@@ -242,7 +256,8 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 	for i, j := range in.Jobs {
 		if rem[i] > 0 && j.Project >= 0 && j.Project < nproj &&
 			j.Type >= 0 && j.Type < host.NumProcTypes {
-			s.groups[j.Type][j.Project] = append(s.groups[j.Type][j.Project], int32(i))
+			g := &s.groups[j.Type][j.Project]
+			g.buf = append(g.buf, int32(i))
 			s.demand[j.Type][j.Project] += j.Instances
 			if s.demand[j.Type][j.Project] >= 1<<52 ||
 				(j.Instances != 1 && j.Instances != math.Trunc(j.Instances)) {
@@ -279,16 +294,16 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 		// matches.
 		for _, k := range s.dirty {
 			if !s.exact[k.t][k.p] {
-				g := s.groups[k.t][k.p]
-				kept := g[:0]
+				g := &s.groups[k.t][k.p]
+				kept := g.buf[:0]
 				var d float64
-				for _, i := range g {
+				for _, i := range g.members() {
 					if rem[i] > 0 {
 						d += in.Jobs[i].Instances
 						kept = append(kept, i)
 					}
 				}
-				s.groups[k.t][k.p] = kept
+				g.buf, g.head = kept, 0
 				s.demand[k.t][k.p] = d
 			}
 			seatsStale[k.t] = true
@@ -321,7 +336,7 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 				// the endangered classification self-invalidating (the
 				// job the scheduler promotes immediately looks safe and
 				// is demoted again), causing preemption thrash.
-				for _, i := range groups[p] {
+				for _, i := range groups[p].members() {
 					if a <= 1e-12 {
 						break
 					}
@@ -440,21 +455,22 @@ func (s *Simulator) RunInto(res *Result, in Input) {
 					}
 					// The group's cached demand is now stale. Exact
 					// groups update in place — drop the job (keeping
-					// arrival order) and subtract its demand, which
-					// for integral values matches the ordered rescan
-					// bit for bit. Others defer to the dirty sweep at
-					// the top of the next step, which drops finished
-					// members and re-sums in one pass. Either way the
-					// group is marked dirty so its type re-seats;
-					// seats within a type are contiguous per project,
-					// so consecutive same-group finishes dedup against
-					// the last entry.
+					// arrival order; see group) and subtract its
+					// demand, which for integral values matches the
+					// ordered rescan bit for bit. Others defer to the
+					// dirty sweep at the top of the next step, which
+					// drops finished members and re-sums in one pass.
+					// Either way the group is marked dirty so its type
+					// re-seats; seats within a type are contiguous per
+					// project, so consecutive same-group finishes
+					// dedup against the last entry.
 					if s.exact[j.Type][j.Project] {
-						g := s.groups[j.Type][j.Project]
-						for k, gi := range g {
+						g := &s.groups[j.Type][j.Project]
+						m := g.members()
+						for k, gi := range m {
 							if gi == i {
-								copy(g[k:], g[k+1:])
-								s.groups[j.Type][j.Project] = g[:len(g)-1]
+								copy(m[1:k+1], m[:k])
+								g.head++
 								break
 							}
 						}

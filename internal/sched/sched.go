@@ -16,9 +16,10 @@ package sched
 
 import (
 	"fmt"
-	"slices"
+	"math"
 
 	"bce/internal/host"
+	"bce/internal/invariant"
 	"bce/internal/job"
 )
 
@@ -114,24 +115,12 @@ type rank struct {
 	receivedAt float64 // final tie-break: FIFO
 }
 
-// cmpRank is the job-list order as a three-way comparison. It is the
-// exact predicate the original sort.SliceStable call used (negating the
-// priority turns its descending comparison into key's ascending one —
-// equivalent for all finite floats); with a stable sort the output
-// ordering is uniquely determined by the predicate and the input order,
-// so swapping the sort implementation keeps emulations bit-identical.
-func cmpRank(a, b rank) int {
-	if lessRank(a, b) {
-		return -1
-	}
-	if lessRank(b, a) {
-		return 1
-	}
-	return 0
-}
-
-// lessRank is cmpRank as a strict less-than, cheap enough for the
-// insertion sort's inner loop.
+// lessRank is the job-list order. Negating the priority into key turns
+// its descending order into key's ascending one, which is equivalent
+// for all finite floats. Without NaN keys lessRank is a strict weak
+// order, so every stable sort by it yields the same permutation, and
+// the sort implementation can change without changing an emulation
+// bit.
 func lessRank(a, b rank) bool {
 	if a.class != b.class {
 		return a.class < b.class
@@ -149,6 +138,9 @@ func lessRank(a, b rank) bool {
 // steady-state pass allocates nothing. The zero value is ready to use.
 // Not safe for concurrent use; each emulated client owns one.
 type Enforcer struct {
+	// ranks is one slab of twice the queue length: the ranked list
+	// fills the front, and the merge sort uses the space after it as
+	// its buffer.
 	ranks []rank
 	run   []*job.Task
 }
@@ -160,8 +152,8 @@ type Enforcer struct {
 //bce:hotpath
 //bce:scratch
 func (e *Enforcer) Enforce(in Input) Decision {
-	if cap(e.ranks) < len(in.Tasks) {
-		e.ranks = make([]rank, 0, len(in.Tasks)) //bce:allocok amortized grow of reusable scratch, stops once sized to the queue
+	if cap(e.ranks) < 2*len(in.Tasks) {
+		e.ranks = make([]rank, 0, 2*len(in.Tasks)) //bce:allocok amortized grow of reusable scratch, stops once sized to the queue
 	}
 	ranks := e.ranks[:0]
 	for _, t := range in.Tasks {
@@ -206,21 +198,16 @@ func (e *Enforcer) Enforce(in Input) Decision {
 		default:
 			r.key = -in.Prio(t.Project, t.Usage.Type())
 		}
+		if invariant.Enabled {
+			// A NaN key breaks lessRank's strict weak order, and with
+			// it the sort's uniquely determined permutation.
+			invariant.Check(!math.IsNaN(r.key),
+				"sched: task %s has a NaN rank key in class %d under %v", t.Name, r.class, in.Policy)
+		}
 		ranks = append(ranks, r)
 	}
 	e.ranks = ranks //bce:retainok ranks alias in.Tasks only until the next Enforce; the Decision contract documents this
-
-	// Stable sort. Any stable sort over the same comparator produces
-	// the same permutation, so the implementation is free to vary by
-	// size: small queues (the common case — one host's active tasks)
-	// use a direct insertion sort, which beats the generic sort's
-	// function-pointer comparisons; large queues fall back to the
-	// O(n log n) generic sort.
-	if len(ranks) <= smallSortMax {
-		insertionSortRanks(ranks)
-	} else {
-		slices.SortStableFunc(ranks, cmpRank)
-	}
+	ranks = sortRanks(ranks, ranks[len(ranks):2*len(ranks)])
 
 	// Scan: commit device instances and memory in rank order; stop when
 	// everything is saturated.
@@ -268,19 +255,67 @@ func (e *Enforcer) Enforce(in Input) Decision {
 	return Decision{Run: run}
 }
 
-// smallSortMax bounds the insertion-sorted queue size; beyond it the
-// quadratic comparison count overtakes the generic sort's overhead.
-const smallSortMax = 32
-
-// insertionSortRanks stable-sorts ranks in place by lessRank: an
-// element moves left only past strictly greater predecessors, so equal
-// elements keep their input order.
-func insertionSortRanks(r []rank) {
-	for i := 1; i < len(r); i++ {
-		for j := i; j > 0 && lessRank(r[j], r[j-1]); j-- {
-			r[j], r[j-1] = r[j-1], r[j]
-		}
+// sortRanks stable-sorts r by lessRank with a natural merge sort and
+// returns the sorted list, which lies either in r or in buf (the same
+// length as r). Each pass merges adjacent pairs of maximal
+// non-descending runs, so a pass halves the run count and the cost is
+// O(n log runs). The client's queue is in arrival order and most keys
+// are deadlines (receipt time plus the app's latency bound), so the
+// ranked list holds only a handful of runs, and a list that is one run
+// already is returned without a copy.
+func sortRanks(r, buf []rank) []rank {
+	if len(r) == 0 {
+		return r
 	}
+	src, dst := r, buf
+	for {
+		for lo := 0; lo < len(src); {
+			mid := runEnd(src, lo)
+			if mid == len(src) {
+				if lo == 0 {
+					return src
+				}
+				copy(dst[lo:], src[lo:]) // an odd run out: carry it over
+				break
+			}
+			hi := runEnd(src, mid)
+			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
+			if lo == 0 && hi == len(src) {
+				return dst // this pass held only two runs, now merged
+			}
+			lo = hi
+		}
+		src, dst = dst, src
+	}
+}
+
+// runEnd returns the end of the maximal non-descending run of r that
+// starts at lo < len(r).
+func runEnd(r []rank, lo int) int {
+	i := lo + 1
+	for i < len(r) && !lessRank(r[i], r[i-1]) {
+		i++
+	}
+	return i
+}
+
+// mergeRuns merges the sorted runs a and b into dst, which holds
+// exactly both. Ties take a's element, which keeps the merge stable
+// because a precedes b in the list.
+func mergeRuns(dst, a, b []rank) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		if lessRank(b[j], a[i]) {
+			dst[k] = b[j]
+			j++
+		} else {
+			dst[k] = a[i]
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // Enforce runs one scheduling pass with throwaway scratch. Hot-path
