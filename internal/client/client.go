@@ -47,13 +47,6 @@ type Config struct {
 	// ZeroDeadlineMargin to spell that readably.
 	DeadlineMargin float64
 
-	// RPCDelay is the simulated latency of one scheduler RPC (default 5 s).
-	RPCDelay float64
-
-	// ReportMaxDelay bounds how long a completed job waits before the
-	// client makes an RPC just to report it (default 3600 s).
-	ReportMaxDelay float64
-
 	Duration float64 // emulation length in seconds
 	Seed     int64
 
@@ -63,9 +56,6 @@ type Config struct {
 
 	// RecordTimeline enables per-task execution segments.
 	RecordTimeline bool
-
-	// MonotonyWindow overrides the monotony metric window (seconds).
-	MonotonyWindow float64
 
 	// TransferPolicy orders file transfers when the host has a finite
 	// link speed (file-transfer extension).
@@ -88,12 +78,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.RPCDelay <= 0 {
-		c.RPCDelay = 5
-	}
-	if c.ReportMaxDelay <= 0 {
-		c.ReportMaxDelay = 3600
-	}
 	if c.DeadlineMargin == 0 {
 		c.DeadlineMargin = DefaultDeadlineMargin
 	} else if c.DeadlineMargin < 0 {
@@ -139,6 +123,10 @@ const (
 	rpcRetryMin    = 60       // min interval between RPCs to one project
 	rpcBackoffMax  = 4 * 3600 // cap on exponential backoff
 	maxQueuedTasks = 20000    // runaway-fetch guard
+	rpcDelay       = 5        // simulated latency of one scheduler RPC
+	reportMaxDelay = 3600     // longest a completed job waits before an RPC just to report it
+	cpuSchedPeriod = 60       // re-schedule interval (BOINC default)
+	maxMemFrac     = 0.9      // fraction of RAM BOINC jobs may use (BOINC default)
 )
 
 // Client is one emulation in progress.
@@ -189,29 +177,12 @@ type Client struct {
 
 	onFrac [host.NumProcTypes]float64
 
-	// Round-robin simulation hot-path state: a reusable simulator, the
-	// scratch job slices it reads, and a fingerprint cache that skips
-	// the simulation entirely when the workload is provably unchanged.
-	rr          *rrsim.Simulator
-	rrRes       rrsim.Result // reused output buffer; rrCache.res aliases it
-	rrJobs      []rrsim.Job
-	rrJobPtrs   []*rrsim.Job
-	rrCache     rrCache
-	rrCacheOff  bool   // tests: force a fresh simulation every tick
-	rrCacheHits uint64 // tests/observability
-}
-
-// rrCache holds the last simulation's validity window. The input
-// fingerprint needs no separate storage: the job array itself is the
-// key (RunInto writes only the output fields), so a hit needs (a) every
-// rebuilt input field equal to the previous run's and (b) now <=
-// validUntil: endangered classification depends on absolute time, so
-// the cached result is only reused while no job's slack can have run
-// out — see rrsimValidUntil.
-type rrCache struct {
-	valid      bool
-	validUntil float64
-	res        *rrsim.Result
+	// Round-robin simulation hot-path state: a reusable simulator, its
+	// reused output buffer, and the scratch job slices it reads.
+	rr        *rrsim.Simulator
+	rrRes     rrsim.Result
+	rrJobs    []rrsim.Job
+	rrJobPtrs []*rrsim.Job
 }
 
 // New builds a client for the config.
@@ -248,10 +219,7 @@ func New(cfg Config) (*Client, error) {
 		c.acct = account.NewLocalDebt(c.shares, c.hw)
 	}
 	c.prioFn = c.acct.PrioSched
-	c.rec = metrics.New(c.hw, c.shares, 0)
-	if cfg.MonotonyWindow > 0 {
-		c.rec.SetWindow(cfg.MonotonyWindow)
-	}
+	c.rec = metrics.New(c.hw, c.shares)
 	if cfg.RecordTimeline {
 		c.tl = timeline.NewRecorder()
 	}
@@ -555,7 +523,7 @@ func (c *Client) readyToReport(t *job.Task) {
 	p := t.Project
 	c.pendingReport[p] = append(c.pendingReport[p], t)
 	if c.reportDue[p] == nil {
-		deadline := c.sim.Now() + c.cfg.ReportMaxDelay
+		deadline := c.sim.Now() + reportMaxDelay
 		c.reportDue[p] = c.sim.At(deadline, func() {
 			c.reportDue[p] = nil
 			if len(c.pendingReport[p]) > 0 && c.netOn && !c.rpcInFlight {
@@ -592,37 +560,20 @@ func (c *Client) accruesShare(p int, t host.ProcType) bool {
 	return c.servers[p].SuppliesType(t)
 }
 
-// rrsimSlackEpsilon is subtracted from the cache validity bound so that
-// last-ulp differences between a cached projection and a fresh run can
-// never change an endangered verdict. It is far below the 60 s tick
-// granularity, so it costs at most one spurious recomputation.
-const rrsimSlackEpsilon = 1e-3
-
-// runRRSim runs the round-robin simulation over the current queue, or
-// reuses the previous result when the workload fingerprint is unchanged
-// and every job's deadline slack provably still holds (empty-queue and
-// all-waiting stretches hit this path on every tick). Endangered
-// verdicts are not returned: they latch onto each task's
+// runRRSim runs the round-robin simulation over the current queue.
+// Endangered verdicts are not returned: they latch onto each task's
 // DeadlineFlagged bit, which the scheduler reads directly.
 //
 //bce:hotpath
 func (c *Client) runRRSim() *rrsim.Result {
-	now := c.sim.Now()
-	cc := &c.rrCache
-
-	// Fingerprint and build in one pass: the previous run's job array
-	// is itself the cache key, since RunInto writes only the output
-	// fields. Each unfinished task is compared against, then written
-	// over, the entry it would occupy; if every input field matched
-	// (and the validity window holds) nothing changed and the cached
-	// result stands.
+	// rrsim keeps no references past the run, so the job array and the
+	// pointer slice live across ticks as scratch. RunInto writes every
+	// output field, so only the inputs are set here, field by field:
+	// appending a whole struct literal per job builds a temporary and
+	// copies it, several times the cost on a deep queue.
 	if cap(c.rrJobs) < len(c.tasks) {
-		grown := make([]rrsim.Job, len(c.tasks)) //bce:allocok amortized grow of the cross-tick job cache, stops once sized to the queue
-		copy(grown, c.rrJobs)
-		c.rrJobs = grown[:len(c.rrJobs)]
+		c.rrJobs = make([]rrsim.Job, len(c.tasks)) //bce:allocok amortized grow of reusable scratch, stops once sized to the queue
 	}
-	prev := len(c.rrJobs)
-	match := cc.valid && now <= cc.validUntil && !c.rrCacheOff
 	jobs := c.rrJobs[:cap(c.rrJobs)]
 	n := 0
 	for _, t := range c.tasks {
@@ -630,38 +581,23 @@ func (c *Client) runRRSim() *rrsim.Result {
 			continue
 		}
 		j := &jobs[n]
-		remaining := t.EstRemaining()
-		instances := t.Usage.Instances()
-		typ := t.Usage.Type()
-		if match && (n >= prev || j.Task != t || j.Remaining != remaining ||
-			j.Deadline != t.Deadline || j.Instances != instances ||
-			j.Type != typ || j.Project != t.Project) {
-			match = false
-		}
-		j.Task, j.Project, j.Type = t, t.Project, typ
-		j.Instances, j.Remaining, j.Deadline = instances, remaining, t.Deadline
+		j.Task, j.Project, j.Type = t, t.Project, t.Usage.Type()
+		j.Instances, j.Remaining, j.Deadline = t.Usage.Instances(), t.EstRemaining(), t.Deadline
 		n++
 	}
-	c.rrJobs = jobs[:n]
+	jobs = jobs[:n]
+	c.rrJobs = jobs
 
-	if match && n == prev {
-		c.rrCacheHits++
-		return cc.res
+	if cap(c.rrJobPtrs) < len(jobs) {
+		c.rrJobPtrs = make([]*rrsim.Job, len(jobs)) //bce:allocok amortized grow of reusable scratch, stops once sized to the queue
 	}
-
-	// rrsim keeps no references past the run, so the pointer slice and
-	// job array live across ticks as scratch.
-	if cap(c.rrJobPtrs) < n {
-		c.rrJobPtrs = make([]*rrsim.Job, n) //bce:allocok amortized grow of reusable scratch, stops once sized to the queue
-	}
-	c.rrJobPtrs = c.rrJobPtrs[:n]
+	c.rrJobPtrs = c.rrJobPtrs[:len(jobs)]
 	for i := range c.rrJobPtrs {
-		c.rrJobPtrs[i] = &c.rrJobs[i]
+		c.rrJobPtrs[i] = &jobs[i]
 	}
 
-	res := &c.rrRes
-	c.rr.RunInto(res, rrsim.Input{
-		Now:            now,
+	c.rr.RunInto(&c.rrRes, rrsim.Input{
+		Now:            c.sim.Now(),
 		Hardware:       c.hw,
 		Shares:         c.shares,
 		OnFrac:         c.onFrac,
@@ -676,36 +612,7 @@ func (c *Client) runRRSim() *rrsim.Result {
 			j.Task.DeadlineFlagged = true // latch; see job.Task.DeadlineFlagged
 		}
 	}
-
-	cc.res = res
-	cc.valid = true
-	cc.validUntil = c.rrsimValidUntil(now)
-	return res
-}
-
-// rrsimValidUntil bounds how long the just-computed simulation stays
-// valid for an unchanged workload. With identical jobs at a later time
-// t, the simulation's relative dynamics (step lengths, rates, shortfall
-// and SAT integrals) are bit-identical — only absolute finish times
-// shift by t−now. So the one thing that can change is the endangered
-// classification: a non-endangered job j flips once t−now exceeds its
-// slack (Deadline − margin − ProjectedFinish). The cache is therefore
-// valid until the smallest such slack runs out (minus an epsilon that
-// absorbs final-addition round-off); already-endangered jobs only get
-// later, and an empty or never-finishing queue is valid forever.
-func (c *Client) rrsimValidUntil(now float64) float64 {
-	margin := c.cfg.DeadlineMargin
-	until := math.Inf(1)
-	for i := range c.rrJobs {
-		j := &c.rrJobs[i]
-		if j.Endangered {
-			continue
-		}
-		if u := now + (j.Deadline - margin - j.ProjectedFinish) - rrsimSlackEpsilon; u < until {
-			until = u
-		}
-	}
-	return until
+	return &c.rrRes
 }
 
 // taskEndangered is the scheduler's deadline-verdict predicate: the
@@ -732,7 +639,7 @@ func (c *Client) tick() {
 		Tasks:       c.tasks,
 		Endangered:  taskEndangered,
 		Prio:        c.prioFn,
-		MaxMemBytes: c.prefs.MaxMemFrac * c.hw.MemBytes,
+		MaxMemBytes: maxMemFrac * c.hw.MemBytes,
 		GPUAllowed:  c.gpuOn,
 	})
 	for _, t := range c.runningInOrder() {
@@ -754,7 +661,7 @@ func (c *Client) tick() {
 
 	// Next completion wakes us exactly on time. After the stop and
 	// start passes the running set is exactly dec.Run.
-	next := c.prefs.CPUSchedPeriod
+	next := float64(cpuSchedPeriod)
 	for _, t := range dec.Run {
 		if r := t.Remaining(); r < next {
 			next = r
@@ -807,7 +714,7 @@ func (c *Client) issueRPC(p int, reqs []project.Request) {
 	// The server stamps deadlines at dispatch time; the reply reaches
 	// the client one RPC delay later, so that delay consumes slack.
 	sentAt := c.sim.Now()
-	c.sim.Post(c.cfg.RPCDelay, func() {
+	c.sim.Post(rpcDelay, func() {
 		c.rpcInFlight = false
 		now := c.sim.Now()
 		srv := c.servers[p]
@@ -898,6 +805,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-// QueueLen exposes the current queue length (for tests).
-func (c *Client) QueueLen() int { return len(c.tasks) }

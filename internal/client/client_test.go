@@ -314,53 +314,6 @@ func TestProjectDowntimeBackoff(t *testing.T) {
 	}
 }
 
-// TestRRSimCacheEquivalence pins the workload-fingerprint cache as a
-// pure optimization: an emulation with the cache disabled must produce
-// bit-identical results, and the cached run must actually hit (dry
-// spells from the flaky project leave the queue unchanged across many
-// ticks).
-func TestRRSimCacheEquivalence(t *testing.T) {
-	run := func(cacheOff bool) (*Result, uint64) {
-		cfg := baseConfig(smallQueueHost(2),
-			project.Spec{Name: "steady", Share: 2, Apps: []project.AppSpec{cpuApp(700, 7000)}},
-			project.Spec{
-				Name: "flaky", Share: 1,
-				Apps:     []project.AppSpec{cpuApp(1000, 86400)},
-				Downtime: host.AvailSpec{MeanOn: 3600, MeanOff: 7200},
-			})
-		cfg.Duration = 2 * 86400
-		c, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.rrCacheOff = cacheOff
-		res, err := c.RunContext(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, c.rrCacheHits
-	}
-	cached, hits := run(false)
-	plain, mustBeZero := run(true)
-	if mustBeZero != 0 {
-		t.Fatalf("disabled cache recorded %d hits", mustBeZero)
-	}
-	if hits == 0 {
-		t.Fatal("cache never hit; scenario does not exercise reuse")
-	}
-	a, b := cached.Metrics, plain.Metrics
-	if a.Values() != b.Values() ||
-		a.CompletedJobs != b.CompletedJobs || a.MissedJobs != b.MissedJobs ||
-		a.RPCs != b.RPCs ||
-		a.UsedFLOPSsec != b.UsedFLOPSsec || a.WastedFLOPSsec != b.WastedFLOPSsec ||
-		a.LostFLOPSsec != b.LostFLOPSsec || a.AvailFLOPSsec != b.AvailFLOPSsec {
-		t.Fatalf("cache changed emulation results:\nwith:    %v\nwithout: %v", a, b)
-	}
-	if cached.Events != plain.Events {
-		t.Fatalf("event counts differ: %d vs %d", cached.Events, plain.Events)
-	}
-}
-
 func TestRPCAccountingMatchesJobFlow(t *testing.T) {
 	cfg := baseConfig(smallQueueHost(2),
 		project.Spec{Name: "p", Share: 1, Apps: []project.AppSpec{cpuApp(2000, 86400)}})

@@ -139,7 +139,7 @@ func (c *Coordinator) restore() error {
 				specPath, redisk, reWant)
 		}
 	case errors.Is(err, os.ErrNotExist):
-		if werr := os.WriteFile(specPath, want, 0o644); werr != nil {
+		if werr := population.WriteFileAtomic(specPath, want); werr != nil {
 			return fmt.Errorf("fabric: write spec: %w", werr)
 		}
 	default:

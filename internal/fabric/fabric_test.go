@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -232,6 +233,19 @@ func TestFabricCoordinatorRestart(t *testing.T) {
 	c1, err := NewCoordinator(spec, CoordinatorOptions{Dir: coordDir, LeaseTTL: 5 * time.Second, Log: t.Logf})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The spec is written atomically: the dir holds spec.json and no
+	// temp file.
+	entries, err := os.ReadDir(coordDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != specFileName {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("coordinator dir holds %v, want only %s", names, specFileName)
 	}
 	srv1 := httptest.NewServer(c1.Handler())
 

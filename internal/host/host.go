@@ -82,11 +82,6 @@ func (h *Hardware) TotalPeakFLOPS() float64 {
 	return sum
 }
 
-// HasGPU reports whether any coprocessor is present.
-func (h *Hardware) HasGPU() bool {
-	return h.Proc[NvidiaGPU].Count > 0 || h.Proc[AtiGPU].Count > 0
-}
-
 // Validate reports structural problems with the hardware description.
 func (h *Hardware) Validate() error {
 	if h.Proc[CPU].Count <= 0 {
@@ -108,14 +103,11 @@ func (h *Hardware) Validate() error {
 }
 
 // Preferences are the user-specified settings that govern the client
-// (paper §2.2 and §3.4). Durations are in seconds, fractions in [0,1].
+// (paper §2.2 and §3.4). Durations are in seconds.
 type Preferences struct {
-	MinQueue        float64 // min buffer: keep processors busy for this long
-	MaxQueue        float64 // max buffer: don't fetch past this much work
-	MaxMemFrac      float64 // fraction of RAM BOINC jobs may use (default 0.9)
-	LeaveInMemory   bool    // keep preempted jobs in RAM (no checkpoint loss)
-	CPUSchedPeriod  float64 // re-schedule interval (BOINC default 60 s)
-	WorkFetchPeriod float64 // fetch policy poll interval (default 60 s)
+	MinQueue      float64 // min buffer: keep processors busy for this long
+	MaxQueue      float64 // max buffer: don't fetch past this much work
+	LeaveInMemory bool    // keep preempted jobs in RAM (no checkpoint loss)
 }
 
 // Defaults fills in zero fields with the BOINC client defaults.
@@ -125,15 +117,6 @@ func (p Preferences) Defaults() Preferences {
 	}
 	if p.MaxQueue < p.MinQueue {
 		p.MaxQueue = p.MinQueue + 0.5*86400
-	}
-	if p.MaxMemFrac <= 0 || p.MaxMemFrac > 1 {
-		p.MaxMemFrac = 0.9
-	}
-	if p.CPUSchedPeriod <= 0 {
-		p.CPUSchedPeriod = 60
-	}
-	if p.WorkFetchPeriod <= 0 {
-		p.WorkFetchPeriod = 60
 	}
 	return p
 }

@@ -175,18 +175,6 @@ func (t *Task) EstRemaining() float64 {
 	return frac * t.EstDuration
 }
 
-// FractionDone returns completed fraction in [0,1].
-func (t *Task) FractionDone() float64 {
-	if t.Duration <= 0 {
-		return 1
-	}
-	f := t.Work / t.Duration
-	if f > 1 {
-		return 1
-	}
-	return f
-}
-
 // Start marks the task running at time now.
 func (t *Task) Start(now float64) {
 	t.State = Running

@@ -86,8 +86,8 @@ func TestAdvanceToCompletion(t *testing.T) {
 	if tk.State != Done || tk.CompletedAt != 1000 || tk.MissedDeadline {
 		t.Fatalf("completion state wrong: %+v", tk)
 	}
-	if tk.Remaining() != 0 || tk.FractionDone() != 1 {
-		t.Fatal("remaining/fraction wrong after completion")
+	if tk.Remaining() != 0 {
+		t.Fatal("remaining wrong after completion")
 	}
 }
 

@@ -30,10 +30,9 @@ const DefaultWindow = 3600
 
 // Recorder accumulates events from one emulation run.
 type Recorder struct {
-	hw      *host.Hardware
-	shares  []float64
-	window  float64
-	started float64
+	hw     *host.Hardware
+	shares []float64
+	window float64
 
 	availCapacity float64 // peak-FLOPS-seconds while computing allowed
 	used          []float64
@@ -50,25 +49,17 @@ type Recorder struct {
 	windows map[int][]float64 // window index -> per-project usage
 }
 
-// New creates a recorder for a run starting at time start.
-func New(hw *host.Hardware, shares []float64, start float64) *Recorder {
+// New creates a recorder for a run starting at time 0.
+func New(hw *host.Hardware, shares []float64) *Recorder {
 	return &Recorder{
 		hw:         hw,
 		shares:     shares,
 		window:     DefaultWindow,
-		started:    start,
 		used:       make([]float64, len(shares)),
 		usedByType: make([][host.NumProcTypes]float64, len(shares)),
 		taskUsage:  make(map[*job.Task]float64),
 		taskLost:   make(map[*job.Task]float64),
 		windows:    make(map[int][]float64),
-	}
-}
-
-// SetWindow overrides the monotony window (seconds).
-func (r *Recorder) SetWindow(w float64) {
-	if w > 0 {
-		r.window = w
 	}
 }
 
@@ -97,10 +88,10 @@ func (r *Recorder) OnRun(t0, t1 float64, tk *job.Task) {
 	r.taskUsage[tk] += f
 
 	// Split across monotony windows.
-	w0 := int((t0 - r.started) / r.window)
-	w1 := int((t1 - r.started) / r.window)
+	w0 := int(t0 / r.window)
+	w1 := int(t1 / r.window)
 	for w := w0; w <= w1; w++ {
-		lo := r.started + float64(w)*r.window
+		lo := float64(w) * r.window
 		hi := lo + r.window
 		ov := math.Min(t1, hi) - math.Max(t0, lo)
 		if ov <= 0 {

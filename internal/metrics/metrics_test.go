@@ -20,7 +20,7 @@ func mkTask(p int) *job.Task {
 }
 
 func TestIdleFraction(t *testing.T) {
-	r := New(hw1(), []float64{1}, 0)
+	r := New(hw1(), []float64{1})
 	r.OnAvailable(0, 1000)
 	tk := mkTask(0)
 	r.OnRun(0, 600, tk)
@@ -34,7 +34,7 @@ func TestIdleFraction(t *testing.T) {
 }
 
 func TestIdleFractionNoCapacity(t *testing.T) {
-	r := New(hw1(), []float64{1}, 0)
+	r := New(hw1(), []float64{1})
 	m := r.Report()
 	if m.IdleFraction != 0 || m.WastedFraction != 0 {
 		t.Fatal("no-capacity run should report zeros")
@@ -42,7 +42,7 @@ func TestIdleFractionNoCapacity(t *testing.T) {
 }
 
 func TestWastedOnMissedDeadline(t *testing.T) {
-	r := New(hw1(), []float64{1}, 0)
+	r := New(hw1(), []float64{1})
 	r.OnAvailable(0, 1000)
 	tk := mkTask(0)
 	tk.MissedDeadline = true
@@ -58,7 +58,7 @@ func TestWastedOnMissedDeadline(t *testing.T) {
 }
 
 func TestOnTimeJobNotWasted(t *testing.T) {
-	r := New(hw1(), []float64{1}, 0)
+	r := New(hw1(), []float64{1})
 	r.OnAvailable(0, 1000)
 	tk := mkTask(0)
 	r.OnRun(0, 500, tk)
@@ -69,7 +69,7 @@ func TestOnTimeJobNotWasted(t *testing.T) {
 }
 
 func TestLostWorkIsWaste(t *testing.T) {
-	r := New(hw1(), []float64{1}, 0)
+	r := New(hw1(), []float64{1})
 	r.OnAvailable(0, 1000)
 	tk := mkTask(0)
 	r.OnRun(0, 300, tk)
@@ -89,7 +89,7 @@ func TestLostWorkIsWaste(t *testing.T) {
 // task's usage tally AND reported via OnLostWork, and must not be
 // summed twice into WastedFLOPSsec.
 func TestPreemptedMissedJobWastedOnce(t *testing.T) {
-	r := New(hw1(), []float64{1}, 0)
+	r := New(hw1(), []float64{1})
 	r.OnAvailable(0, 2000)
 	tk := mkTask(0)
 	tk.MissedDeadline = true
@@ -119,7 +119,7 @@ func TestPreemptedMissedJobWastedOnce(t *testing.T) {
 // Lost work on a job that then completes on time is still waste (the
 // re-executed portion was paid for twice), but only the lost portion.
 func TestLostWorkOnTimeJobWastedOnce(t *testing.T) {
-	r := New(hw1(), []float64{1}, 0)
+	r := New(hw1(), []float64{1})
 	r.OnAvailable(0, 2000)
 	tk := mkTask(0)
 	r.OnRun(0, 50, tk)
@@ -133,7 +133,7 @@ func TestLostWorkOnTimeJobWastedOnce(t *testing.T) {
 }
 
 func TestShareViolationPerfect(t *testing.T) {
-	r := New(hw1(), []float64{1, 1}, 0)
+	r := New(hw1(), []float64{1, 1})
 	r.OnAvailable(0, 1000)
 	r.OnRun(0, 500, mkTask(0))
 	r.OnRun(500, 1000, mkTask(1))
@@ -143,7 +143,7 @@ func TestShareViolationPerfect(t *testing.T) {
 }
 
 func TestShareViolationTotal(t *testing.T) {
-	r := New(hw1(), []float64{1, 1}, 0)
+	r := New(hw1(), []float64{1, 1})
 	r.OnAvailable(0, 1000)
 	r.OnRun(0, 1000, mkTask(0)) // project 1 starved
 	m := r.Report()
@@ -153,8 +153,8 @@ func TestShareViolationTotal(t *testing.T) {
 }
 
 func TestMonotonyAlternating(t *testing.T) {
-	r := New(hw1(), []float64{1, 1}, 0)
-	r.SetWindow(100)
+	r := New(hw1(), []float64{1, 1})
+	r.window = 100
 	// Alternate projects every window: each window is single-project.
 	for w := 0; w < 10; w++ {
 		t0 := float64(w) * 100
@@ -167,8 +167,8 @@ func TestMonotonyAlternating(t *testing.T) {
 }
 
 func TestMonotonyMixed(t *testing.T) {
-	r := New(hw1(), []float64{1, 1}, 0)
-	r.SetWindow(100)
+	r := New(hw1(), []float64{1, 1})
+	r.window = 100
 	// Both projects evenly in every window.
 	for w := 0; w < 10; w++ {
 		t0 := float64(w) * 100
@@ -182,7 +182,7 @@ func TestMonotonyMixed(t *testing.T) {
 }
 
 func TestMonotonySingleProjectZero(t *testing.T) {
-	r := New(hw1(), []float64{1}, 0)
+	r := New(hw1(), []float64{1})
 	r.OnRun(0, 1000, mkTask(0))
 	if m := r.Report(); m.Monotony != 0 {
 		t.Fatalf("monotony with one project = %v, want 0", m.Monotony)
@@ -190,8 +190,8 @@ func TestMonotonySingleProjectZero(t *testing.T) {
 }
 
 func TestRunSpanningWindows(t *testing.T) {
-	r := New(hw1(), []float64{1, 1}, 0)
-	r.SetWindow(100)
+	r := New(hw1(), []float64{1, 1})
+	r.window = 100
 	// One run crosses three windows.
 	r.OnRun(50, 250, mkTask(0))
 	r.OnRun(0, 300, mkTask(1))
@@ -205,7 +205,7 @@ func TestRunSpanningWindows(t *testing.T) {
 }
 
 func TestRPCsPerJob(t *testing.T) {
-	r := New(hw1(), []float64{1}, 0)
+	r := New(hw1(), []float64{1})
 	for i := 0; i < 5; i++ {
 		r.OnRPC()
 	}
@@ -239,7 +239,7 @@ func TestValuesAndNames(t *testing.T) {
 }
 
 func TestZeroLengthEventsIgnored(t *testing.T) {
-	r := New(hw1(), []float64{1}, 0)
+	r := New(hw1(), []float64{1})
 	r.OnAvailable(10, 10)
 	r.OnRun(10, 10, mkTask(0))
 	r.OnLostWork(mkTask(0), 0)
@@ -253,7 +253,7 @@ func TestZeroLengthEventsIgnored(t *testing.T) {
 // event sequences.
 func TestPropertyMetricsInRange(t *testing.T) {
 	f := func(runs [10]uint16, missMask uint16, rpcs uint8) bool {
-		r := New(hw1(), []float64{2, 1, 1}, 0)
+		r := New(hw1(), []float64{2, 1, 1})
 		r.OnAvailable(0, 5000)
 		now := 0.0
 		for i, d := range runs {

@@ -18,39 +18,48 @@ import (
 )
 
 // SaveCheckpoint atomically replaces path with st's JSON encoding and
-// makes the replacement durable: the data is fsynced before the rename
-// and the parent directory is fsynced after it, so a crash at any point
-// leaves either the old complete checkpoint or the new one.
+// makes the replacement durable (see WriteFileAtomic).
 func SaveCheckpoint(path string, st *Study) error {
 	blob, err := json.MarshalIndent(st, "", " ")
 	if err != nil {
 		return fmt.Errorf("population: encode checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".checkpoint-*.json")
-	if err != nil {
+	if err := WriteFileAtomic(path, blob); err != nil {
 		return fmt.Errorf("population: checkpoint: %w", err)
+	}
+	return nil
+}
+
+// WriteFileAtomic replaces path with blob and makes the replacement
+// durable: the data is fsynced before the rename and the parent
+// directory is fsynced after it, so a crash at any point leaves either
+// the old complete file or the new one, never a torn one.
+func WriteFileAtomic(path string, blob []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
 	}
 	defer os.Remove(tmp.Name()) //bce:errok best-effort cleanup; a no-op after a successful rename
 	if _, err := tmp.Write(blob); err != nil {
 		tmp.Close() //bce:errok the write error already propagates; this close only releases the fd
-		return fmt.Errorf("population: checkpoint: %w", err)
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close() //bce:errok the sync error already propagates; this close only releases the fd
-		return fmt.Errorf("population: checkpoint: %w", err)
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("population: checkpoint: %w", err)
+		return err
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("population: checkpoint: %w", err)
+		return err
 	}
 	// The rename is atomic but not durable until the directory entry
 	// itself reaches disk: without this fsync a crash after the rename
-	// can roll the directory back and lose the checkpoint entirely.
+	// can roll the directory back and lose the file entirely.
 	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("population: checkpoint: sync %s: %w", dir, err)
+		return fmt.Errorf("sync %s: %w", dir, err)
 	}
 	return nil
 }

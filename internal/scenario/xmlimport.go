@@ -87,7 +87,6 @@ type xmlGlobalPrefs struct {
 	WorkBufMinDays        float64 `xml:"work_buf_min_days"`
 	WorkBufAdditionalDays float64 `xml:"work_buf_additional_days"`
 	LeaveAppsInMemory     int     `xml:"leave_apps_in_memory"`
-	MaxMemPct             float64 `xml:"ram_max_used_busy_pct"`
 }
 
 // ImportClientState parses a BOINC client_state.xml (subset) into a

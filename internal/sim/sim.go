@@ -13,34 +13,19 @@ import (
 	"bce/internal/invariant"
 )
 
-// Timer is a handle to a scheduled event. A handle is in exactly one of
-// three states: pending (scheduled, not yet dispatched), fired (its
-// callback ran), or cancelled (Cancel removed it before it could fire).
-// Cancelling a timer that has already fired or been cancelled is a
-// no-op — in particular it does NOT flip a fired timer to cancelled, so
-// the two terminal states stay distinguishable.
+// Timer is a handle to a scheduled event. A timer is pending exactly
+// while it sits in the event heap; firing and Cancel both take it out,
+// after which Cancel is a no-op and Move panics.
 type Timer struct {
-	at       float64
-	seq      uint64
-	fn       func()
-	index    int // heap index, -1 when popped or cancelled
-	canceled bool
-	fired    bool
-	pooled   bool // no caller holds a handle; recycle after firing
+	at     float64
+	seq    uint64
+	fn     func()
+	index  int  // heap index while pending, -1 once fired or cancelled
+	pooled bool // no caller holds a handle; recycle after firing
 }
 
 // At returns the absolute simulation time the timer is set for.
 func (t *Timer) At() float64 { return t.at }
-
-// Canceled reports whether Cancel removed the timer before it fired.
-// A fired timer reports false even if Cancel was called afterwards.
-func (t *Timer) Canceled() bool { return t.canceled }
-
-// Fired reports whether the timer's callback has been dispatched.
-func (t *Timer) Fired() bool { return t.fired }
-
-// Pending reports whether the timer is still scheduled to fire.
-func (t *Timer) Pending() bool { return t.index >= 0 && !t.canceled }
 
 type eventHeap []*Timer
 
@@ -94,10 +79,6 @@ func (s *Simulator) Now() float64 { return s.now }
 
 // Fired returns the number of events that have been dispatched.
 func (s *Simulator) Fired() uint64 { return s.nfired }
-
-// Pending returns the number of events waiting to fire (including
-// cancelled timers that have not yet been discarded).
-func (s *Simulator) Pending() int { return len(s.events) }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // (t < Now()) panics: it indicates a logic error in the model.
@@ -174,7 +155,7 @@ func (s *Simulator) Recycle(t *Timer) {
 // is wrong, and silently rescheduling it would double-fire the
 // callback.
 func (s *Simulator) Move(t *Timer, at float64) {
-	if t == nil || t.index < 0 || t.canceled {
+	if t == nil || t.index < 0 {
 		panic("sim: Move of inactive timer")
 	}
 	if at < s.now {
@@ -190,46 +171,41 @@ func (s *Simulator) Move(t *Timer, at float64) {
 }
 
 // Cancel removes a pending timer so its callback never runs. Calling
-// it on a fired or already-cancelled timer is a no-op: a fired timer
-// stays Fired() (not Canceled()), so callers can tell "ran, then
-// someone tried to cancel" apart from "never ran".
+// it on a fired or already-cancelled timer is a no-op.
 func (s *Simulator) Cancel(t *Timer) {
-	if t == nil || t.canceled || t.fired || t.index < 0 {
+	if t == nil || t.index < 0 {
 		return
 	}
-	t.canceled = true
 	heap.Remove(&s.events, t.index)
-	t.index = -1
 }
 
 // Step fires the next event, advancing the clock to its time.
 // It returns false if no events remain.
 func (s *Simulator) Step() bool {
-	for len(s.events) > 0 {
-		t := heap.Pop(&s.events).(*Timer)
-		if t.canceled {
-			if t.pooled {
-				s.recycle(t)
-			}
-			continue
-		}
-		if invariant.Enabled {
-			invariant.Check(t.at >= s.now && !math.IsNaN(t.at),
-				"sim: time must be monotone: next event at %v, now %v", t.at, s.now)
-		}
-		s.now = t.at
-		s.nfired++
-		t.fired = true
-		fn := t.fn
-		if t.pooled {
-			// Recycled before firing so a self-rescheduling chain can
-			// reuse the very struct it is running from.
-			s.recycle(t)
-		}
-		fn()
-		return true
+	if len(s.events) == 0 {
+		return false
 	}
-	return false
+	s.fireNext()
+	return true
+}
+
+// fireNext pops the earliest event, advances the clock to its time and
+// runs its callback.
+func (s *Simulator) fireNext() {
+	t := heap.Pop(&s.events).(*Timer)
+	if invariant.Enabled {
+		invariant.Check(t.at >= s.now && !math.IsNaN(t.at),
+			"sim: time must be monotone: next event at %v, now %v", t.at, s.now)
+	}
+	s.now = t.at
+	s.nfired++
+	fn := t.fn
+	if t.pooled {
+		// Recycled before firing so a self-rescheduling chain can
+		// reuse the very struct it is running from.
+		s.recycle(t)
+	}
+	fn()
 }
 
 // RunUntil fires events in order until the clock would pass `end`,
@@ -248,31 +224,8 @@ func (s *Simulator) RunUntil(end float64) {
 // cancellation without putting a check on the per-event path.
 func (s *Simulator) RunUntilN(end float64, max int) int {
 	fired := 0
-	for fired < max && len(s.events) > 0 {
-		t := s.events[0]
-		if t.canceled {
-			heap.Pop(&s.events)
-			if t.pooled {
-				s.recycle(t)
-			}
-			continue
-		}
-		if t.at > end {
-			break
-		}
-		heap.Pop(&s.events)
-		if invariant.Enabled {
-			invariant.Check(t.at >= s.now && !math.IsNaN(t.at),
-				"sim: time must be monotone: next event at %v, now %v", t.at, s.now)
-		}
-		s.now = t.at
-		s.nfired++
-		t.fired = true
-		fn := t.fn
-		if t.pooled {
-			s.recycle(t)
-		}
-		fn()
+	for fired < max && len(s.events) > 0 && s.events[0].at <= end {
+		s.fireNext()
 		fired++
 	}
 	if fired < max && end > s.now {

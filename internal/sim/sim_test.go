@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -93,9 +94,6 @@ func TestCancel(t *testing.T) {
 	s.Run()
 	if fired {
 		t.Fatal("cancelled timer fired")
-	}
-	if !tm.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
 	}
 	// Double cancel is a no-op.
 	s.Cancel(tm)
@@ -294,50 +292,50 @@ func TestRunUntilNHonorsHorizon(t *testing.T) {
 	}
 }
 
-// A timer handle is in exactly one of three states — pending, fired,
-// cancelled — and Cancel must not retroactively relabel a fired timer
-// as cancelled.
+// mustPanic fails the test unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
+}
+
+// Once a timer has fired, Cancel is a no-op that leaves every other
+// pending timer in place, and Move panics rather than fire it twice.
 func TestTimerHandleStates(t *testing.T) {
 	s := New()
-	tm := s.At(5, func() {})
-	if !tm.Pending() || tm.Fired() || tm.Canceled() {
-		t.Fatalf("fresh timer: pending=%v fired=%v canceled=%v, want pending only",
-			tm.Pending(), tm.Fired(), tm.Canceled())
-	}
+	var got []int
+	tm := s.At(5, func() { got = append(got, 5) })
+	s.At(20, func() { got = append(got, 20) })
+	s.At(30, func() { got = append(got, 30) })
 	s.RunUntil(10)
-	if tm.Pending() || !tm.Fired() || tm.Canceled() {
-		t.Fatalf("after firing: pending=%v fired=%v canceled=%v, want fired only",
-			tm.Pending(), tm.Fired(), tm.Canceled())
-	}
-	// Cancelling a fired timer is a no-op, not a state change.
 	s.Cancel(tm)
-	if tm.Canceled() {
-		t.Fatal("Cancel on a fired timer relabelled it as cancelled")
-	}
-	if !tm.Fired() {
-		t.Fatal("Cancel on a fired timer cleared Fired()")
+	mustPanic(t, "Move of a fired timer", func() { s.Move(tm, 15) })
+	s.Run()
+	if !slices.Equal(got, []int{5, 20, 30}) {
+		t.Fatalf("fired %v, want [5 20 30]", got)
 	}
 }
 
+// A cancelled timer never fires, also when cancelled twice, and Move
+// panics rather than revive it.
 func TestTimerCancelledState(t *testing.T) {
 	s := New()
 	fired := false
 	tm := s.At(5, func() { fired = true })
+	other := false
+	s.At(6, func() { other = true })
 	s.Cancel(tm)
-	if tm.Pending() || tm.Fired() || !tm.Canceled() {
-		t.Fatalf("after Cancel: pending=%v fired=%v canceled=%v, want cancelled only",
-			tm.Pending(), tm.Fired(), tm.Canceled())
-	}
-	// Cancel is idempotent.
 	s.Cancel(tm)
-	if !tm.Canceled() || tm.Fired() {
-		t.Fatal("second Cancel changed state")
-	}
+	mustPanic(t, "Move of a cancelled timer", func() { s.Move(tm, 7) })
 	s.RunUntil(10)
 	if fired {
 		t.Fatal("cancelled timer fired anyway")
 	}
-	if tm.Fired() {
-		t.Fatal("cancelled timer reports Fired()")
+	if !other {
+		t.Fatal("cancelling one timer dropped another")
 	}
 }
