@@ -12,6 +12,57 @@ func golden(name string) string {
 	return filepath.Join("testdata", "src", name)
 }
 
+// packageGoldens maps each single-package golden dir to the analyzer
+// its `// want` lines are written for.
+var packageGoldens = []struct {
+	dir      string
+	analyzer *analyzers.Analyzer
+}{
+	{"nowalltime", analyzers.NoWallTime},
+	{"seededrand", analyzers.SeededRand},
+	{"mapiter", analyzers.MapIter},
+	{"ctxpass", analyzers.CtxPass},
+	{"seedderive", analyzers.SeedDerive},
+	{"errdrop", analyzers.ErrDrop},
+	{"noretain", analyzers.NoRetain},
+}
+
+func everywhere(string) bool { return true }
+
+// interpRules scope the determinism tier to interp/core alone, so every
+// violation in interp/helper must surface through the fact engine.
+func interpRules() []analyzers.Rule {
+	core := func(path string) bool { return path == "interp/core" }
+	return []analyzers.Rule{
+		{Analyzer: analyzers.NoWallTime, Applies: core},
+		{Analyzer: analyzers.SeededRand, Applies: core},
+		{Analyzer: analyzers.MapIter, Applies: core},
+	}
+}
+
+func hotAllocRules() []analyzers.Rule {
+	return []analyzers.Rule{{Analyzer: analyzers.HotAlloc, Applies: everywhere}}
+}
+
+func concRules() []analyzers.Rule {
+	return []analyzers.Rule{
+		{Analyzer: analyzers.GuardedBy, Applies: everywhere},
+		{Analyzer: analyzers.GoLeak, Applies: everywhere},
+		{Analyzer: analyzers.LockOrder, Applies: everywhere},
+	}
+}
+
+// moduleGoldens are the golden mini-modules and the rule sets they run
+// under.
+var moduleGoldens = []struct {
+	dir   string
+	rules func() []analyzers.Rule
+}{
+	{"interp", interpRules},
+	{"hotalloc", hotAllocRules},
+	{"conc", concRules},
+}
+
 func TestNoWallTime(t *testing.T) {
 	analysistest.Run(t, analyzers.NoWallTime, golden("nowalltime"))
 }
@@ -44,13 +95,7 @@ func TestErrDrop(t *testing.T) {
 // and a cycle through an interface method, so a fixpoint that fails to
 // terminate hangs this test and a double report fails the want check.
 func TestInterprocedural(t *testing.T) {
-	core := func(path string) bool { return path == "interp/core" }
-	rules := []analyzers.Rule{
-		{Analyzer: analyzers.NoWallTime, Applies: core},
-		{Analyzer: analyzers.SeededRand, Applies: core},
-		{Analyzer: analyzers.MapIter, Applies: core},
-	}
-	analysistest.RunModule(t, rules, golden("interp"))
+	analysistest.RunModule(t, interpRules(), golden("interp"))
 }
 
 // TestHotAlloc runs the allocation tier over the hotalloc golden
@@ -61,11 +106,7 @@ func TestInterprocedural(t *testing.T) {
 // a CHA node, //bce:allocok placement on the line / line above / call
 // site, and compile-time dead code under a const-false guard.
 func TestHotAlloc(t *testing.T) {
-	all := func(string) bool { return true }
-	rules := []analyzers.Rule{
-		{Analyzer: analyzers.HotAlloc, Applies: all},
-	}
-	analysistest.RunModule(t, rules, golden("hotalloc"))
+	analysistest.RunModule(t, hotAllocRules(), golden("hotalloc"))
 }
 
 // TestNoRetain runs the scratch-retention check over its golden
@@ -85,11 +126,5 @@ func TestNoRetain(t *testing.T) {
 // one half hidden behind a helper — reported exactly once with both
 // chains, plus a reentrant self-cycle).
 func TestConcurrency(t *testing.T) {
-	all := func(string) bool { return true }
-	rules := []analyzers.Rule{
-		{Analyzer: analyzers.GuardedBy, Applies: all},
-		{Analyzer: analyzers.GoLeak, Applies: all},
-		{Analyzer: analyzers.LockOrder, Applies: all},
-	}
-	analysistest.RunModule(t, rules, golden("conc"))
+	analysistest.RunModule(t, concRules(), golden("conc"))
 }
