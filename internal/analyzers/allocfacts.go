@@ -4,19 +4,18 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // This file is the module-level half of the allocation tier: a
-// "transitively allocates" fact fixpoint over the same call graph and
-// Tarjan SCC machinery the determinism (facts.go) and concurrency
-// (concurrency.go) tiers use. The per-package hotalloc pass reports
-// direct allocation sites inside //bce:hotpath functions; this engine
-// reports laundered allocations — a hotpath root calling an innocent-
-// looking helper that allocates two hops down — at the hotpath call
-// site, with the witness chain to the raw allocation. Interface calls
-// flow through the synthetic CHA nodes, so an implementation that
-// allocates taints every dynamic call site of the method.
+// "transitively allocates" fact, one witness per function, propagated
+// through the shared call-graph fixpoint (see facts.go and DESIGN.md
+// §10.1). The per-package hotalloc pass reports direct allocation sites
+// inside //bce:hotpath functions; this engine reports laundered
+// allocations — a hotpath root calling an innocent-looking helper that
+// allocates two hops down — at the hotpath call site, with the witness
+// chain to the raw allocation. Interface calls flow through the
+// synthetic CHA nodes, so an implementation that allocates taints every
+// dynamic call site of the method.
 //
 // Calls leaving the module are opaque (except the fmt family, which
 // the direct pass flags at the call site): the contract covers code we
@@ -25,24 +24,12 @@ import (
 // fact propagation through that edge — the allocation is justified, so
 // neither the caller nor anything above it inherits it.
 
-// allocInfo is one function's witness that it (transitively)
-// allocates: where inside the function, and the next hop toward the
-// raw allocation site (nil at the leaf). Witnesses are assigned
-// exactly once, so chains stay finite inside call-graph cycles.
-type allocInfo struct {
-	pos  token.Pos
-	what string      // leaf only: "make([]rank) escapes the frame and allocates"
-	via  *types.Func // next hop toward the allocation; nil at the leaf
-}
-
 // allocEngine holds the computed allocation facts for the module.
 type allocEngine struct {
-	fset    *token.FileSet
-	graph   *callGraph
-	markers map[*Package]*markerIndex
-	hot     map[*types.Func]bool
-	facts   map[*types.Func]*allocInfo
-	dead    map[*cgNode][]posRange
+	graph *callGraph
+	hot   map[*types.Func]bool
+	facts map[*types.Func]*witness
+	dead  map[*cgNode][]posRange
 }
 
 // allocRules reports whether the allocation tier is in the rule set,
@@ -58,52 +45,30 @@ func allocRules(rules []Rule) bool {
 
 // computeAlloc builds the engine: the module-wide //bce:hotpath set,
 // per-function direct seeds from the shared allocation-site scanner,
-// then the fact fixpoint over strongly connected components in reverse
-// topological order.
-func computeAlloc(pkgs []*Package, graph *callGraph) *allocEngine {
+// then the call graph's fixpoint.
+func computeAlloc(graph *callGraph) *allocEngine {
 	e := &allocEngine{
-		graph:   graph,
-		markers: make(map[*Package]*markerIndex, len(pkgs)),
-		hot:     make(map[*types.Func]bool),
-		facts:   make(map[*types.Func]*allocInfo),
-		dead:    make(map[*cgNode][]posRange),
+		graph: graph,
+		hot:   make(map[*types.Func]bool),
+		facts: make(map[*types.Func]*witness),
+		dead:  make(map[*cgNode][]posRange),
 	}
-	for _, pkg := range pkgs {
-		e.fset = pkg.Fset // Load shares one FileSet across the module
-		e.markers[pkg] = indexMarkers(pkg.Fset, pkg.Files)
-	}
-
 	for _, n := range graph.order {
-		if n.body == nil || n.pkg == nil {
-			continue
-		}
-		if e.markers[n.pkg].allows(e.fset, "hotpath", n.body.Pos()) {
+		if n.body != nil && graph.allows(n, "hotpath", n.body.Pos()) {
 			e.hot[n.fn] = true
 		}
 	}
-
 	for _, n := range graph.order {
 		if n.body == nil || n.pkg == nil {
 			continue
 		}
 		e.dead[n] = deadRangesIn(n.pkg.Info, n.body)
-		sites := allocSitesIn(e.fset, n.pkg.Info, n.body, e.markers[n.pkg], e.hot)
+		sites := allocSitesIn(graph.fset, n.pkg.Info, n.body, n.pkg.markers, e.hot)
 		if len(sites) > 0 {
-			e.facts[n.fn] = &allocInfo{pos: sites[0].pos, what: sites[0].what}
+			e.facts[n.fn] = &witness{pos: sites[0].pos, what: sites[0].what}
 		}
 	}
-
-	for _, comp := range graph.sccs() {
-		changed := true
-		for changed {
-			changed = false
-			for _, n := range comp {
-				if e.propagate(n) {
-					changed = true
-				}
-			}
-		}
-	}
+	graph.fixpoint(e.propagate)
 	return e
 }
 
@@ -113,10 +78,6 @@ func computeAlloc(pkgs []*Package, graph *callGraph) *allocEngine {
 func (e *allocEngine) propagate(n *cgNode) bool {
 	if e.facts[n.fn] != nil {
 		return false // witness already assigned
-	}
-	var idx *markerIndex
-	if n.pkg != nil {
-		idx = e.markers[n.pkg]
 	}
 	for _, edge := range n.out {
 		if e.graph.nodes[edge.callee] == nil {
@@ -128,17 +89,21 @@ func (e *allocEngine) propagate(n *cgNode) bool {
 		pos := edge.pos
 		if !pos.IsValid() {
 			pos = n.fn.Pos() // synthetic CHA edge: anchor at the interface method
+		} else if e.excused(n, pos) {
+			continue
 		}
-		if edge.pos.IsValid() && inRanges(e.dead[n], edge.pos) {
-			continue // call eliminated in default builds (invariant.Enabled)
-		}
-		if idx != nil && edge.pos.IsValid() && idx.allows(e.fset, "allocok", edge.pos) {
-			continue // justified at the call site; callers do not inherit it
-		}
-		e.facts[n.fn] = &allocInfo{pos: pos, via: edge.callee}
+		e.facts[n.fn] = &witness{pos: pos, via: edge.callee}
 		return true
 	}
 	return false
+}
+
+// excused reports whether a call site inside n neither allocates nor
+// passes allocation on: it is eliminated in default builds
+// (invariant.Enabled), or justified with //bce:allocok, so callers do
+// not inherit it.
+func (e *allocEngine) excused(n *cgNode, pos token.Pos) bool {
+	return inRanges(e.dead[n], pos) || e.graph.allows(n, "allocok", pos)
 }
 
 // report emits the interprocedural hotalloc diagnostics: every call
@@ -157,72 +122,32 @@ func (e *allocEngine) report(rules []Rule) []Diagnostic {
 	if rule == nil {
 		return nil
 	}
+	of := func(fn *types.Func) *witness { return e.facts[fn] }
 	var out []Diagnostic
 	for _, n := range e.graph.order {
 		if n.pkg == nil || !e.hot[n.fn] || !rule.Applies(n.pkg.ImportPath) {
 			continue
 		}
-		idx := e.markers[n.pkg]
 		for _, edge := range n.out {
 			if e.graph.nodes[edge.callee] == nil || !edge.pos.IsValid() {
 				continue
 			}
-			if e.facts[edge.callee] == nil || e.hot[edge.callee] {
+			if e.facts[edge.callee] == nil || e.hot[edge.callee] || e.excused(n, edge.pos) {
 				continue
 			}
-			if inRanges(e.dead[n], edge.pos) || idx.allows(e.fset, "allocok", edge.pos) {
-				continue
-			}
+			root := n.fn.FullName()
 			out = append(out, Diagnostic{
 				Analyzer: rule.Analyzer.Name,
-				Pos:      e.fset.Position(edge.pos),
+				Pos:      e.graph.fset.Position(edge.pos),
 				Message: fmt.Sprintf("call into %s allocates on a //bce:hotpath function (%s); make the callee allocation-free, annotate it //bce:hotpath to enforce the contract there, or justify with //bce:allocok <reason>",
-					edge.callee.FullName(), e.chainSummary(n.fn, edge)),
-				Chain: e.chain(n.fn, edge),
+					edge.callee.FullName(), witnessSummary([]string{root}, edge.callee, of)),
+				Chain: witnessChain(e.graph.fset, []ChainStep{{
+					Func: root,
+					Pos:  e.graph.fset.Position(edge.pos),
+					What: "calls " + edge.callee.FullName(),
+				}}, edge.callee, of),
 			})
 		}
 	}
 	return out
-}
-
-// chain renders the witness path from the hotpath root down to the
-// raw allocation site.
-func (e *allocEngine) chain(root *types.Func, edge cgEdge) []ChainStep {
-	steps := []ChainStep{{
-		Func: root.FullName(),
-		Pos:  e.fset.Position(edge.pos),
-		What: "calls " + edge.callee.FullName(),
-	}}
-	for cur := edge.callee; cur != nil && len(steps) < maxChainLen; {
-		fi := e.facts[cur]
-		if fi == nil {
-			break
-		}
-		what := fi.what
-		if fi.via != nil {
-			what = "calls " + fi.via.FullName()
-		}
-		steps = append(steps, ChainStep{Func: cur.FullName(), Pos: e.fset.Position(fi.pos), What: what})
-		cur = fi.via
-	}
-	return steps
-}
-
-// chainSummary is the compact one-line form: "sched.(*Enforcer).Enforce
-// → sched.buildRanks → make([]rank) escapes the frame and allocates".
-func (e *allocEngine) chainSummary(root *types.Func, edge cgEdge) string {
-	parts := []string{root.FullName(), edge.callee.FullName()}
-	for cur := edge.callee; len(parts) < maxChainLen; {
-		fi := e.facts[cur]
-		if fi == nil {
-			break
-		}
-		if fi.via == nil {
-			parts = append(parts, fi.what)
-			break
-		}
-		parts = append(parts, fi.via.FullName())
-		cur = fi.via
-	}
-	return strings.Join(parts, " → ")
 }

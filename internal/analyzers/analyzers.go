@@ -41,12 +41,14 @@
 //     simulator pattern) must not retain references to caller-provided
 //     slices or pointers beyond the call.
 //
-// Several rules also propagate interprocedurally: a module-wide call
-// graph and fact store (facts.go for the determinism facts,
-// concurrency.go for requires-lock/acquires/terminates, allocfacts.go
-// for transitively-allocates) surface a violation buried in an
-// out-of-scope helper at the governed call site, with the full call
-// chain.
+// Several rules also propagate interprocedurally, on one engine: a
+// module-wide call graph whose components are computed once
+// (callgraph.go), one fixpoint driver each fact tier feeds with a step
+// function (facts.go for the determinism facts, concurrency.go for
+// requires-lock/acquires/terminates, allocfacts.go for
+// transitively-allocates), and one witness type and chain renderer
+// (witness.go). A violation buried in an out-of-scope helper surfaces
+// at the governed call site, with the full call chain.
 //
 // Escape hatches are directive comments: //bce:wallclock,
 // //bce:unordered, //bce:ctxshim, //bce:seedok, //bce:errok,
@@ -106,7 +108,7 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	report  func(Diagnostic)
-	markers *markerIndex
+	markers *markerIndex // the package's, built once at load
 }
 
 // Reportf records a diagnostic at pos.
@@ -124,9 +126,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // comment of the enclosing function declaration, or on (or immediately
 // above) the opening line of an enclosing function literal.
 func (p *Pass) Allowed(marker string, pos token.Pos) bool {
-	if p.markers == nil {
-		p.markers = indexMarkers(p.Fset, p.Files)
-	}
 	return p.markers.allows(p.Fset, marker, pos)
 }
 
@@ -234,17 +233,6 @@ func indexMarkers(fset *token.FileSet, files []*ast.File) *markerIndex {
 		})
 	}
 	return idx
-}
-
-// calleeFunc resolves a call expression to the *types.Func it invokes
-// through a selector (pkg.F or recv.M), or nil.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	fn, _ := info.Uses[sel.Sel].(*types.Func)
-	return fn
 }
 
 // staticCallee resolves a call through either a plain identifier

@@ -18,8 +18,10 @@ import (
 // function *values* are opaque — the fact engine cannot see through
 // them, which is the documented under-approximation of the suite.
 type callGraph struct {
+	fset  *token.FileSet // Load shares one FileSet across the module
 	nodes map[*types.Func]*cgNode
-	order []*cgNode // packages sorted by import path, then source order
+	order []*cgNode   // packages sorted by import path, then source order
+	comps [][]*cgNode // strongly connected components, callees first
 }
 
 type cgNode struct {
@@ -42,6 +44,7 @@ type cgEdge struct {
 func buildCallGraph(pkgs []*Package) *callGraph {
 	g := &callGraph{nodes: make(map[*types.Func]*cgNode)}
 	for _, pkg := range pkgs {
+		g.fset = pkg.Fset
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
@@ -80,6 +83,15 @@ func buildCallGraph(pkgs []*Package) *callGraph {
 	}
 
 	g.addInterfaceEdges(pkgs, ifaceMethods)
+	g.comps = sccs(g.order, func(n *cgNode) []*cgNode {
+		var succ []*cgNode
+		for _, e := range n.out {
+			if w := g.nodes[e.callee]; w != nil { // nil: callee outside the module
+				succ = append(succ, w)
+			}
+		}
+		return succ
+	})
 	return g
 }
 
@@ -161,40 +173,57 @@ func isInterfaceMethod(fn *types.Func) bool {
 	return ok
 }
 
-// sccs returns the strongly connected components of the graph in
-// reverse topological order (callees before callers), via Tarjan's
-// algorithm — which emits components in exactly that order.
-func (g *callGraph) sccs() [][]*cgNode {
-	index := make(map[*cgNode]int, len(g.order))
-	low := make(map[*cgNode]int, len(g.order))
-	onStack := make(map[*cgNode]bool, len(g.order))
-	var stack []*cgNode
-	var comps [][]*cgNode
-	next := 0
+// fixpoint drives one fact tier to its fixpoint: components are visited
+// callees first, and each is swept with step until no member reports a
+// change, so mutual recursion — including cycles through interface
+// dispatch — converges with every member carrying the facts reachable
+// from it.
+func (g *callGraph) fixpoint(step func(n *cgNode) bool) {
+	for _, comp := range g.comps {
+		for changed := true; changed; {
+			changed = false
+			for _, n := range comp {
+				if step(n) {
+					changed = true
+				}
+			}
+		}
+	}
+}
 
-	var strongConnect func(n *cgNode)
-	strongConnect = func(n *cgNode) {
-		index[n] = next
-		low[n] = next
-		next++
+// allows reports whether a directive marker covers pos inside n's body;
+// synthetic interface-method nodes carry no directives.
+func (g *callGraph) allows(n *cgNode, marker string, pos token.Pos) bool {
+	return n.pkg != nil && n.pkg.markers.allows(g.fset, marker, pos)
+}
+
+// sccs returns the strongly connected components reachable from roots
+// (visited in the given order) via Tarjan's algorithm, which emits a
+// component only after every component it reaches: for the call graph,
+// callees before callers.
+func sccs[N comparable](roots []N, succ func(N) []N) [][]N {
+	index := make(map[N]int)
+	low := make(map[N]int)
+	onStack := make(map[N]bool)
+	var stack []N
+	var comps [][]N
+
+	var strongConnect func(n N)
+	strongConnect = func(n N) {
+		index[n] = len(index)
+		low[n] = index[n]
 		stack = append(stack, n)
 		onStack[n] = true
-		for _, e := range n.out {
-			w := g.nodes[e.callee]
-			if w == nil {
-				continue // callee outside the module
-			}
+		for _, w := range succ(n) {
 			if _, seen := index[w]; !seen {
 				strongConnect(w)
-				if low[w] < low[n] {
-					low[n] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[n] {
-				low[n] = index[w]
+				low[n] = min(low[n], low[w])
+			} else if onStack[w] {
+				low[n] = min(low[n], index[w])
 			}
 		}
 		if low[n] == index[n] {
-			var comp []*cgNode
+			var comp []N
 			for {
 				w := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
@@ -207,8 +236,7 @@ func (g *callGraph) sccs() [][]*cgNode {
 			comps = append(comps, comp)
 		}
 	}
-
-	for _, n := range g.order {
+	for _, n := range roots {
 		if _, seen := index[n]; !seen {
 			strongConnect(n)
 		}

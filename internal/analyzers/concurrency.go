@@ -9,9 +9,10 @@ import (
 )
 
 // This file is the module-level half of the concurrency tier: three
-// interprocedural fact fixpoints over the same call graph and Tarjan
-// SCC machinery the determinism facts use (facts.go), feeding the
-// guardedby, goleak and lockorder rules.
+// interprocedural facts, propagated together through the shared
+// call-graph fixpoint (see facts.go and DESIGN.md §10.1), feeding the
+// guardedby, goleak and lockorder rules. Requirements and acquisitions
+// carry witnesses, so both render chains with the shared renderer.
 //
 //   - requires: function f needs lock L held on entry (it accesses a
 //     //bce:guardedby field, or calls a helper that does, without
@@ -39,37 +40,16 @@ type guardKey struct {
 	write bool
 }
 
-// reqInfo is one function's witness for one requirement: where inside
-// the function it arises, and the next function toward the raw access
-// (nil at the leaf). Like the determinism facts, witnesses are
-// assigned exactly once, so chains are finite inside call-graph
-// cycles.
-type reqInfo struct {
-	pos  token.Pos
-	what string      // leaf only: "write of serve.job.state"
-	via  *types.Func // next hop toward the access; nil at the leaf
-}
-
-// acqInfo is one function's witness for one (transitive) lock
-// acquisition.
-type acqInfo struct {
-	pos  token.Pos
-	read bool
-	via  *types.Func // nil: a direct Lock/RLock at pos
-}
-
 // concEngine holds the computed concurrency facts for the module.
 type concEngine struct {
-	fset    *token.FileSet
-	graph   *callGraph
-	markers map[*Package]*markerIndex
+	graph *callGraph
 
 	guards    guardTable
 	badGuards []badGuard
 	sums      map[*types.Func]*funcSummary
 
-	requires   map[*types.Func]map[guardKey]*reqInfo
-	acquires   map[*types.Func]map[lockID]*acqInfo
+	requires   map[*types.Func]map[guardKey]*witness
+	acquires   map[*types.Func]map[lockID]*witness
 	terminates map[*types.Func]bool
 	awaitedWGs map[types.Object]bool
 	callers    map[*types.Func]int
@@ -88,23 +68,17 @@ func concurrencyRules(rules []Rule) bool {
 }
 
 // computeConcurrency builds the engine: per-function summaries from the
-// held-lock body scan (locks.go), then the three fact fixpoints over
-// the call graph's strongly connected components in reverse topological
-// order.
+// held-lock body scan (locks.go), then the call graph's fixpoint over
+// all three facts at once.
 func computeConcurrency(pkgs []*Package, graph *callGraph) *concEngine {
 	e := &concEngine{
 		graph:      graph,
-		markers:    make(map[*Package]*markerIndex, len(pkgs)),
 		sums:       make(map[*types.Func]*funcSummary),
-		requires:   make(map[*types.Func]map[guardKey]*reqInfo),
-		acquires:   make(map[*types.Func]map[lockID]*acqInfo),
+		requires:   make(map[*types.Func]map[guardKey]*witness),
+		acquires:   make(map[*types.Func]map[lockID]*witness),
 		terminates: make(map[*types.Func]bool),
 		awaitedWGs: make(map[types.Object]bool),
 		callers:    make(map[*types.Func]int),
-	}
-	for _, pkg := range pkgs {
-		e.fset = pkg.Fset // Load shares one FileSet across the module
-		e.markers[pkg] = indexMarkers(pkg.Fset, pkg.Files)
 	}
 	e.guards, e.badGuards = collectGuards(pkgs)
 
@@ -127,19 +101,15 @@ func computeConcurrency(pkgs []*Package, graph *callGraph) *concEngine {
 		}
 	}
 
-	for _, comp := range graph.sccs() {
-		changed := true
-		for changed {
-			changed = false
-			for _, n := range comp {
-				for _, c := range e.callRecords(n) {
-					if e.propagate(n, c) {
-						changed = true
-					}
-				}
+	graph.fixpoint(func(n *cgNode) bool {
+		changed := false
+		for _, c := range e.callRecords(n) {
+			if e.propagate(n, c) {
+				changed = true
 			}
 		}
-	}
+		return changed
+	})
 	return e
 }
 
@@ -147,27 +117,18 @@ func computeConcurrency(pkgs []*Package, graph *callGraph) *concEngine {
 // annotated fields (requirements), direct lock acquisitions, and
 // termination signals from the body or the signature.
 func (e *concEngine) seed(n *cgNode, sum *funcSummary) {
-	idx := e.markers[n.pkg]
 	for _, a := range sum.accesses {
-		if a.held.satisfies(a.guard.lock, a.write) {
-			continue
-		}
-		if idx.allows(e.fset, "lockok", a.pos) {
-			continue
-		}
-		key := guardKey{lock: a.guard.lock, write: a.write}
-		if e.req(n.fn)[key] == nil {
-			rw := "read"
-			if a.write {
-				rw = "write"
+		if e.unguarded(n, a) {
+			key := guardKey{lock: a.guard.lock, write: a.write}
+			if e.req(n.fn)[key] == nil {
+				e.req(n.fn)[key] = &witness{pos: a.pos, what: a.describe()}
 			}
-			e.req(n.fn)[key] = &reqInfo{pos: a.pos, what: fmt.Sprintf("%s of %s", rw, a.guard.display)}
 		}
 	}
 	for _, acq := range sum.acqs {
 		key := acq.id.typeKey()
 		if e.acq(n.fn)[key] == nil {
-			e.acq(n.fn)[key] = &acqInfo{pos: acq.pos, read: acq.read}
+			e.acq(n.fn)[key] = &witness{pos: acq.pos, what: "acquires " + key.display()}
 		}
 	}
 	if sum.termSeed || signatureLifeline(n.fn) {
@@ -195,28 +156,21 @@ func (e *concEngine) callRecords(n *cgNode) []callSite {
 // and termination.
 func (e *concEngine) propagate(n *cgNode, c callSite) bool {
 	changed := false
-	var idx *markerIndex
-	if n.pkg != nil {
-		idx = e.markers[n.pkg]
-	}
 	if from := e.requires[c.callee]; len(from) > 0 {
-		for _, key := range sortedGuardKeys(from) {
-			if c.held.satisfies(key.lock, key.write) {
-				continue
-			}
-			if idx != nil && idx.allows(e.fset, "lockok", c.pos) {
+		for _, key := range sortedKeys(from, guardKey.less) {
+			if c.held.satisfies(key.lock, key.write) || e.graph.allows(n, "lockok", c.pos) {
 				continue
 			}
 			if e.req(n.fn)[key] == nil {
-				e.req(n.fn)[key] = &reqInfo{pos: c.pos, via: c.callee}
+				e.req(n.fn)[key] = &witness{pos: c.pos, via: c.callee}
 				changed = true
 			}
 		}
 	}
 	if from := e.acquires[c.callee]; len(from) > 0 {
-		for _, key := range sortedLockKeys(from) {
+		for _, key := range sortedKeys(from, lockID.less) {
 			if e.acq(n.fn)[key] == nil {
-				e.acq(n.fn)[key] = &acqInfo{pos: c.pos, read: from[key].read, via: c.callee}
+				e.acq(n.fn)[key] = &witness{pos: c.pos, via: c.callee}
 				changed = true
 			}
 		}
@@ -228,22 +182,29 @@ func (e *concEngine) propagate(n *cgNode, c callSite) bool {
 	return changed
 }
 
-func (e *concEngine) req(fn *types.Func) map[guardKey]*reqInfo {
+func (e *concEngine) req(fn *types.Func) map[guardKey]*witness {
 	m := e.requires[fn]
 	if m == nil {
-		m = make(map[guardKey]*reqInfo)
+		m = make(map[guardKey]*witness)
 		e.requires[fn] = m
 	}
 	return m
 }
 
-func (e *concEngine) acq(fn *types.Func) map[lockID]*acqInfo {
+func (e *concEngine) acq(fn *types.Func) map[lockID]*witness {
 	m := e.acquires[fn]
 	if m == nil {
-		m = make(map[lockID]*acqInfo)
+		m = make(map[lockID]*witness)
 		e.acquires[fn] = m
 	}
 	return m
+}
+
+// unguarded reports whether a guarded-field access inside n is made
+// without the lock its write-or-read strength needs, and no
+// //bce:lockok covers it.
+func (e *concEngine) unguarded(n *cgNode, a fieldAccess) bool {
+	return !a.held.satisfies(a.guard.lock, a.write) && !e.graph.allows(n, "lockok", a.pos)
 }
 
 // signatureLifeline reports whether fn's parameters include a context
@@ -298,7 +259,7 @@ func (e *concEngine) reportGuardedBy(rule Rule) []Diagnostic {
 		}
 		out = append(out, Diagnostic{
 			Analyzer: rule.Analyzer.Name,
-			Pos:      e.fset.Position(bg.pos),
+			Pos:      e.graph.fset.Position(bg.pos),
 			Message:  bg.message,
 		})
 	}
@@ -310,75 +271,33 @@ func (e *concEngine) reportGuardedBy(rule Rule) []Diagnostic {
 		if !e.isRootFunc(n.fn) {
 			continue // a caller discharges or inherits the requirement
 		}
-		idx := e.markers[n.pkg]
 		for _, a := range sum.accesses {
-			if a.held.satisfies(a.guard.lock, a.write) || idx.allows(e.fset, "lockok", a.pos) {
+			if !e.unguarded(n, a) {
 				continue
 			}
-			rw := "read"
-			if a.write {
-				rw = "write"
-			}
 			out = append(out, Diagnostic{
 				Analyzer: rule.Analyzer.Name,
-				Pos:      e.fset.Position(a.pos),
-				Message: fmt.Sprintf("%s of %s without holding %s; acquire the lock, or annotate a checked invariant with //bce:lockok",
-					rw, a.guard.display, a.guard.lock.display()),
+				Pos:      e.graph.fset.Position(a.pos),
+				Message: fmt.Sprintf("%s without holding %s; acquire the lock, or annotate a checked invariant with //bce:lockok",
+					a.describe(), a.guard.lock.display()),
 			})
 		}
-		for _, key := range sortedGuardKeys(e.requires[n.fn]) {
-			ri := e.requires[n.fn][key]
-			if ri.via == nil {
+		for _, key := range sortedKeys(e.requires[n.fn], guardKey.less) {
+			w := e.requires[n.fn][key]
+			if w.via == nil {
 				continue // direct accesses already reported above
 			}
+			of := func(fn *types.Func) *witness { return e.requires[fn][key] }
 			out = append(out, Diagnostic{
 				Analyzer: rule.Analyzer.Name,
-				Pos:      e.fset.Position(ri.pos),
+				Pos:      e.graph.fset.Position(w.pos),
 				Message: fmt.Sprintf("call into %s needs %s held (%s); acquire the lock before this call, or annotate a checked invariant with //bce:lockok",
-					ri.via.FullName(), key.lock.display(), e.reqChainSummary(n.fn, key)),
-				Chain: e.reqChain(n.fn, key),
+					w.via.FullName(), key.lock.display(), witnessSummary(nil, n.fn, of)),
+				Chain: witnessChain(e.graph.fset, nil, n.fn, of),
 			})
 		}
 	}
 	return out
-}
-
-// reqChain renders the witness path from fn down to the raw field
-// access.
-func (e *concEngine) reqChain(fn *types.Func, key guardKey) []ChainStep {
-	var steps []ChainStep
-	for cur := fn; cur != nil && len(steps) < maxChainLen; {
-		ri := e.requires[cur][key]
-		if ri == nil {
-			break
-		}
-		what := ri.what
-		if ri.via != nil {
-			what = "calls " + ri.via.FullName()
-		}
-		steps = append(steps, ChainStep{Func: cur.FullName(), Pos: e.fset.Position(ri.pos), What: what})
-		cur = ri.via
-	}
-	return steps
-}
-
-// reqChainSummary is the compact one-line form: "serve.(*Service).Watch
-// → serve.(*Service).viewLocked → read of serve.job.state".
-func (e *concEngine) reqChainSummary(fn *types.Func, key guardKey) string {
-	parts := []string{fn.FullName()}
-	for cur := fn; len(parts) < maxChainLen; {
-		ri := e.requires[cur][key]
-		if ri == nil {
-			break
-		}
-		if ri.via == nil {
-			parts = append(parts, ri.what)
-			break
-		}
-		parts = append(parts, ri.via.FullName())
-		cur = ri.via
-	}
-	return strings.Join(parts, " → ")
 }
 
 // reportGoLeak flags go statements with no visible termination path.
@@ -389,14 +308,13 @@ func (e *concEngine) reportGoLeak(rule Rule) []Diagnostic {
 		if sum == nil || n.pkg == nil || !rule.Applies(n.pkg.ImportPath) {
 			continue
 		}
-		idx := e.markers[n.pkg]
 		for _, g := range sum.goSites {
-			if e.goSiteSupervised(g) || idx.allows(e.fset, "bgok", g.pos) {
+			if e.goSiteSupervised(g) || e.graph.allows(n, "bgok", g.pos) {
 				continue
 			}
 			out = append(out, Diagnostic{
 				Analyzer: rule.Analyzer.Name,
-				Pos:      e.fset.Position(g.pos),
+				Pos:      e.graph.fset.Position(g.pos),
 				Message: "goroutine has no visible termination path (no context or stop channel reaches it, " +
 					"and no awaited WaitGroup tracks it); tie its lifetime to one, or annotate deliberate " +
 					"fire-and-forget with //bce:bgok",
@@ -454,8 +372,14 @@ func (e *concEngine) reportLockOrder(rule Rule) []Diagnostic {
 	adj := make(map[lockID][]lockID)
 	for _, edge := range edges {
 		adj[edge.from] = append(adj[edge.from], edge.to)
+		if _, ok := adj[edge.to]; !ok {
+			adj[edge.to] = nil // a lock only ever acquired is a node too
+		}
 	}
-	comps := lockSCCs(adj)
+	for _, tos := range adj {
+		sort.Slice(tos, func(i, j int) bool { return tos[i].less(tos[j]) })
+	}
+	comps := sccs(sortedKeys(adj, lockID.less), func(id lockID) []lockID { return adj[id] })
 
 	var out []Diagnostic
 	for _, comp := range comps {
@@ -508,7 +432,7 @@ func (e *concEngine) reportLockOrder(rule Rule) []Diagnostic {
 		}
 		out = append(out, Diagnostic{
 			Analyzer: rule.Analyzer.Name,
-			Pos:      e.fset.Position(at.pos),
+			Pos:      e.graph.fset.Position(at.pos),
 			Message:  "lock-order cycle (potential deadlock): " + strings.Join(parts, "; "),
 			Chain:    chain,
 		})
@@ -541,7 +465,7 @@ func (e *concEngine) lockEdges() []lockEdge {
 			if len(from) == 0 || len(c.held) == 0 {
 				continue
 			}
-			for _, to := range sortedLockKeys(from) {
+			for _, to := range sortedKeys(from, lockID.less) {
 				for _, h := range c.held.sorted() {
 					edges = append(edges, lockEdge{from: h.typeKey(), to: to, fn: n.fn, pkg: n.pkg, pos: c.pos, via: c.callee})
 				}
@@ -575,109 +499,25 @@ func (e *concEngine) edgeChain(edge lockEdge) []ChainStep {
 	if edge.via != nil {
 		what = fmt.Sprintf("calls %s while holding %s", edge.via.FullName(), edge.from.display())
 	}
-	steps := []ChainStep{{Func: edge.fn.FullName(), Pos: e.fset.Position(edge.pos), What: what}}
-	for cur := edge.via; cur != nil && len(steps) < maxChainLen; {
-		ai := e.acquires[cur][edge.to]
-		if ai == nil {
-			break
-		}
-		what := "acquires " + edge.to.display()
-		if ai.via != nil {
-			what = "calls " + ai.via.FullName()
-		}
-		steps = append(steps, ChainStep{Func: cur.FullName(), Pos: e.fset.Position(ai.pos), What: what})
-		cur = ai.via
-	}
-	return steps
+	first := ChainStep{Func: edge.fn.FullName(), Pos: e.graph.fset.Position(edge.pos), What: what}
+	return witnessChain(e.graph.fset, []ChainStep{first}, edge.via,
+		func(fn *types.Func) *witness { return e.acquires[fn][edge.to] })
 }
 
-// lockSCCs is Tarjan's algorithm over the lock graph, emitting
-// components deterministically (roots visited in sorted order).
-func lockSCCs(adj map[lockID][]lockID) [][]lockID {
-	nodes := make(map[lockID]bool)
-	for from, tos := range adj {
-		nodes[from] = true
-		for _, to := range tos {
-			nodes[to] = true
-		}
+// less orders requirements deterministically: by lock, reads first.
+func (k guardKey) less(o guardKey) bool {
+	if k.lock.sortKey() != o.lock.sortKey() {
+		return k.lock.sortKey() < o.lock.sortKey()
 	}
-	order := make([]lockID, 0, len(nodes))
-	for id := range nodes {
-		order = append(order, id)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].sortKey() < order[j].sortKey() })
-	for _, tos := range adj {
-		sort.Slice(tos, func(i, j int) bool { return tos[i].sortKey() < tos[j].sortKey() })
-	}
-
-	index := make(map[lockID]int, len(nodes))
-	low := make(map[lockID]int, len(nodes))
-	onStack := make(map[lockID]bool, len(nodes))
-	var stack []lockID
-	var comps [][]lockID
-	next := 0
-
-	var strongConnect func(n lockID)
-	strongConnect = func(n lockID) {
-		index[n] = next
-		low[n] = next
-		next++
-		stack = append(stack, n)
-		onStack[n] = true
-		for _, w := range adj[n] {
-			if _, seen := index[w]; !seen {
-				strongConnect(w)
-				if low[w] < low[n] {
-					low[n] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[n] {
-				low[n] = index[w]
-			}
-		}
-		if low[n] == index[n] {
-			var comp []lockID
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == n {
-					break
-				}
-			}
-			comps = append(comps, comp)
-		}
-	}
-	for _, n := range order {
-		if _, seen := index[n]; !seen {
-			strongConnect(n)
-		}
-	}
-	return comps
+	return !k.write && o.write
 }
 
-// sortedGuardKeys orders a requirement map deterministically.
-func sortedGuardKeys(m map[guardKey]*reqInfo) []guardKey {
-	keys := make([]guardKey, 0, len(m))
+// sortedKeys orders a fact table's keys deterministically.
+func sortedKeys[K comparable, V any](m map[K]V, less func(K, K) bool) []K {
+	keys := make([]K, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		ki, kj := keys[i], keys[j]
-		if ki.lock.sortKey() != kj.lock.sortKey() {
-			return ki.lock.sortKey() < kj.lock.sortKey()
-		}
-		return !ki.write && kj.write
-	})
-	return keys
-}
-
-// sortedLockKeys orders an acquisition map deterministically.
-func sortedLockKeys(m map[lockID]*acqInfo) []lockID {
-	keys := make([]lockID, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].sortKey() < keys[j].sortKey() })
+	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
 	return keys
 }

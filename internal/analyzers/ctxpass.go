@@ -21,7 +21,7 @@ func runCtxPass(pass *Pass) error {
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pass.TypesInfo, call)
+		fn := staticCallee(pass.TypesInfo, call)
 		if !isPackageLevel(fn, "context") || (fn.Name() != "Background" && fn.Name() != "TODO") {
 			return true
 		}

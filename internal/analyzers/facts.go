@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // FactKind identifies one transitive determinism property tracked by
@@ -29,128 +28,89 @@ const (
 	numFactKinds
 )
 
-// factInfo is one function's witness for one fact kind: the site
-// inside the function that causes the fact, and the next function
-// toward the root primitive (nil at the leaf). Witnesses are assigned
-// exactly once, when the fact is first acquired, from a function whose
-// own chain already terminates — so chains are finite even inside
-// call-graph cycles.
-type factInfo struct {
-	has  bool
-	pos  token.Pos   // offending site within the function
-	what string      // leaf only: the root primitive ("time.Now", ...)
-	via  *types.Func // next hop toward the root; nil at the leaf
-}
-
-// factStore holds the computed facts for every module function.
+// factStore holds the computed determinism facts for every module
+// function: one witness per fact kind it carries.
 type factStore struct {
-	graph   *callGraph
-	fset    *token.FileSet
-	markers map[*Package]*markerIndex
-	facts   map[*types.Func]*[numFactKinds]factInfo
+	graph *callGraph
+	facts map[*types.Func]*[numFactKinds]*witness
 }
 
-func (s *factStore) info(fn *types.Func) *[numFactKinds]factInfo {
+func (s *factStore) info(fn *types.Func) *[numFactKinds]*witness {
 	fi := s.facts[fn]
 	if fi == nil {
-		fi = new([numFactKinds]factInfo)
+		fi = new([numFactKinds]*witness)
 		s.facts[fn] = fi
 	}
 	return fi
 }
 
+// of returns the witness lookup for one fact kind.
+func (s *factStore) of(k FactKind) func(*types.Func) *witness {
+	return func(fn *types.Func) *witness {
+		if fi := s.facts[fn]; fi != nil {
+			return fi[k]
+		}
+		return nil
+	}
+}
+
 // computeFacts seeds direct facts from every function body and
-// propagates them through the call graph: strongly connected
-// components are processed in reverse topological order (callees
-// before callers), and within each SCC a worklist iterates to a
-// fixpoint, so mutual recursion — including cycles through interface
-// dispatch — converges with every member carrying the facts reachable
-// from it.
-func computeFacts(pkgs []*Package, graph *callGraph) *factStore {
-	s := &factStore{
-		graph:   graph,
-		markers: make(map[*Package]*markerIndex, len(pkgs)),
-		facts:   make(map[*types.Func]*[numFactKinds]factInfo),
-	}
-	for _, pkg := range pkgs {
-		s.fset = pkg.Fset // Load shares one FileSet across the module
-		s.markers[pkg] = indexMarkers(pkg.Fset, pkg.Files)
-	}
+// propagates them to callers through the call graph's fixpoint.
+func computeFacts(graph *callGraph) *factStore {
+	s := &factStore{graph: graph, facts: make(map[*types.Func]*[numFactKinds]*witness)}
 	for _, n := range graph.order {
 		if n.body != nil {
 			s.seedDirect(n)
 		}
 	}
-	for _, comp := range graph.sccs() {
-		changed := true
-		for changed {
-			changed = false
-			for _, n := range comp {
-				for _, e := range n.out {
-					callee := graph.nodes[e.callee]
-					if callee == nil {
-						continue
-					}
-					from := s.facts[callee.fn]
-					if from == nil {
-						continue
-					}
-					for k := FactKind(0); k < numFactKinds; k++ {
-						if !from[k].has {
-							continue
-						}
-						to := s.info(n.fn)
-						if to[k].has {
-							continue
-						}
-						pos := e.pos
-						if !pos.IsValid() {
-							// CHA interface→implementation edge: anchor
-							// the hop at the implementation itself.
-							pos = callee.fn.Pos()
-						}
-						to[k] = factInfo{has: true, pos: pos, via: callee.fn}
-						changed = true
-					}
+	graph.fixpoint(func(n *cgNode) bool {
+		changed := false
+		for _, e := range n.out {
+			callee := graph.nodes[e.callee]
+			if callee == nil {
+				continue
+			}
+			from := s.facts[callee.fn]
+			if from == nil {
+				continue
+			}
+			for k, w := range from {
+				if w == nil || s.info(n.fn)[k] != nil {
+					continue
 				}
+				pos := e.pos
+				if !pos.IsValid() {
+					// CHA interface→implementation edge: anchor the hop
+					// at the implementation itself.
+					pos = callee.fn.Pos()
+				}
+				s.info(n.fn)[k] = &witness{pos: pos, via: callee.fn}
+				changed = true
 			}
 		}
-	}
+		return changed
+	})
 	return s
 }
 
 // seedDirect records the first unallowed primitive of each kind found
-// in the function body.
+// in the function body, through the same detectors the direct passes
+// use.
 func (s *factStore) seedDirect(n *cgNode) {
-	idx := s.markers[n.pkg]
 	info := n.pkg.Info
 	ast.Inspect(n.body, func(node ast.Node) bool {
 		switch node := node.(type) {
 		case *ast.CallExpr:
-			fn := staticCallee(info, node)
-			if fn == nil {
-				return true
+			if fn := wallClockCall(info, node); fn != nil && !s.graph.allows(n, "wallclock", node.Pos()) {
+				s.setDirect(n.fn, FactWallClock, node.Pos(), "time."+fn.Name())
 			}
-			switch {
-			case isPackageLevel(fn, "time") && wallClockFuncs[fn.Name()]:
-				if !idx.allows(s.fset, "wallclock", node.Pos()) {
-					s.setDirect(n.fn, FactWallClock, node.Pos(), "time."+fn.Name())
-				}
-			case !randConstructors[fn.Name()] &&
-				(isPackageLevel(fn, "math/rand") || isPackageLevel(fn, "math/rand/v2")):
+			if fn := globalRandCall(info, node); fn != nil {
 				s.setDirect(n.fn, FactGlobalRand, node.Pos(), fn.Pkg().Path()+"."+fn.Name())
 			}
 		case *ast.RangeStmt:
-			tv, ok := info.Types[node.X]
-			if !ok || tv.Type == nil {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if !idx.allows(s.fset, "unordered", node.Pos()) {
+			if t := mapRanged(info, node); t != nil && !s.graph.allows(n, "unordered", node.Pos()) {
 				s.setDirect(n.fn, FactMapRange, node.Pos(),
-					"range over "+types.TypeString(tv.Type, types.RelativeTo(n.pkg.Types)))
+					"range over "+types.TypeString(t, types.RelativeTo(n.pkg.Types)))
 			}
 		}
 		return true
@@ -158,55 +118,9 @@ func (s *factStore) seedDirect(n *cgNode) {
 }
 
 func (s *factStore) setDirect(fn *types.Func, k FactKind, pos token.Pos, what string) {
-	fi := s.info(fn)
-	if !fi[k].has {
-		fi[k] = factInfo{has: true, pos: pos, what: what}
+	if fi := s.info(fn); fi[k] == nil {
+		fi[k] = &witness{pos: pos, what: what}
 	}
-}
-
-// maxChainLen bounds rendered chains; witness chains are acyclic by
-// construction, this is a belt against pathological depth.
-const maxChainLen = 16
-
-// chain renders the witness path from fn down to the root primitive.
-func (s *factStore) chain(fn *types.Func, k FactKind) []ChainStep {
-	var steps []ChainStep
-	for cur := fn; cur != nil && len(steps) < maxChainLen; {
-		fi := s.facts[cur]
-		if fi == nil || !fi[k].has {
-			break
-		}
-		what := fi[k].what
-		if fi[k].via != nil {
-			what = "calls " + fi[k].via.FullName()
-		}
-		steps = append(steps, ChainStep{
-			Func: cur.FullName(),
-			Pos:  s.fset.Position(fi[k].pos),
-			What: what,
-		})
-		cur = fi[k].via
-	}
-	return steps
-}
-
-// chainSummary is the compact one-line form embedded in messages:
-// "helper.Elapsed → helper.stamp → time.Now".
-func (s *factStore) chainSummary(fn *types.Func, k FactKind) string {
-	parts := []string{fn.FullName()}
-	for cur := fn; len(parts) < maxChainLen; {
-		fi := s.facts[cur]
-		if fi == nil || !fi[k].has {
-			break
-		}
-		if fi[k].via == nil {
-			parts = append(parts, fi[k].what)
-			break
-		}
-		parts = append(parts, fi[k].via.FullName())
-		cur = fi[k].via
-	}
-	return strings.Join(parts, " → ")
 }
 
 // factRule describes how one analyzer consumes the fact store: which
@@ -239,6 +153,7 @@ func (s *factStore) report(rules []Rule) []Diagnostic {
 		if !ok {
 			continue
 		}
+		of := s.of(fr.kind)
 		for _, n := range s.graph.order {
 			if n.pkg == nil || !rule.Applies(n.pkg.ImportPath) {
 				continue
@@ -251,22 +166,21 @@ func (s *factStore) report(rules []Rule) []Diagnostic {
 				if callee == nil {
 					continue
 				}
-				fi := s.facts[callee.fn]
-				if fi == nil || !fi[fr.kind].has {
+				if of(callee.fn) == nil {
 					continue
 				}
-				if rule.Applies(s.rootPath(callee.fn, fr.kind, e.dynamic)) {
+				if rule.Applies(rootPath(callee.fn, of, e.dynamic)) {
 					continue
 				}
-				if fr.marker != "" && s.markers[n.pkg].allows(s.fset, fr.marker, e.pos) {
+				if fr.marker != "" && s.graph.allows(n, fr.marker, e.pos) {
 					continue
 				}
 				out = append(out, Diagnostic{
 					Analyzer: rule.Analyzer.Name,
-					Pos:      s.fset.Position(e.pos),
+					Pos:      s.graph.fset.Position(e.pos),
 					Message: fmt.Sprintf(fr.format,
-						callee.fn.FullName(), s.chainSummary(callee.fn, fr.kind)),
-					Chain: s.chain(callee.fn, fr.kind),
+						callee.fn.FullName(), witnessSummary(nil, callee.fn, of)),
+					Chain: witnessChain(s.graph.fset, nil, callee.fn, of),
 				})
 			}
 		}
@@ -278,10 +192,10 @@ func (s *factStore) report(rules []Rule) []Diagnostic {
 // static callee that is the callee's own package. An interface method
 // has no body to report in, so a dynamic call is scope-tested against
 // the witness implementation instead.
-func (s *factStore) rootPath(fn *types.Func, k FactKind, dynamic bool) string {
+func rootPath(fn *types.Func, of func(*types.Func) *witness, dynamic bool) string {
 	if dynamic {
-		if fi := s.facts[fn]; fi != nil && fi[k].via != nil {
-			fn = fi[k].via
+		if w := of(fn); w != nil && w.via != nil {
+			fn = w.via
 		}
 	}
 	if fn.Pkg() == nil {

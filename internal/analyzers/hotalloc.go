@@ -50,8 +50,7 @@ var HotAlloc = &Analyzer{
 }
 
 func runHotAlloc(pass *Pass) error {
-	idx := pass.markerIdx()
-	hot := hotpathFuncs(pass.Fset, pass.Files, pass.TypesInfo, idx)
+	hot := hotpathFuncs(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -62,7 +61,7 @@ func runHotAlloc(pass *Pass) error {
 			if fn == nil || !hot[fn] {
 				continue
 			}
-			for _, site := range allocSitesIn(pass.Fset, pass.TypesInfo, fd, idx, hot) {
+			for _, site := range allocSitesIn(pass.Fset, pass.TypesInfo, fd, pass.markers, hot) {
 				pass.Reportf(site.pos,
 					"%s on a //bce:hotpath function; make it allocation-free, or justify with //bce:allocok <reason>",
 					site.what)
@@ -72,29 +71,17 @@ func runHotAlloc(pass *Pass) error {
 	return nil
 }
 
-// markerIdx exposes the lazily built directive index to analyses that
-// need raw marker queries beyond Pass.Allowed.
-func (p *Pass) markerIdx() *markerIndex {
-	if p.markers == nil {
-		p.markers = indexMarkers(p.Fset, p.Files)
-	}
-	return p.markers
-}
-
 // hotpathFuncs collects the functions annotated //bce:hotpath (doc
 // comment, the declaration line, or the line above it).
-func hotpathFuncs(fset *token.FileSet, files []*ast.File, info *types.Info, idx *markerIndex) map[*types.Func]bool {
+func hotpathFuncs(pass *Pass) map[*types.Func]bool {
 	hot := make(map[*types.Func]bool)
-	for _, f := range files {
+	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
+			if !ok || !pass.Allowed("hotpath", fd.Pos()) {
 				continue
 			}
-			if !idx.allows(fset, "hotpath", fd.Pos()) {
-				continue
-			}
-			if fn, _ := info.Defs[fd.Name].(*types.Func); fn != nil {
+			if fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func); fn != nil {
 				hot[fn] = true
 			}
 		}

@@ -26,6 +26,8 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
+
+	markers *markerIndex // directive comments, indexed once for every rule and engine
 }
 
 // listedPackage is the subset of `go list -json` output the loader
@@ -137,6 +139,7 @@ func typeCheck(fset *token.FileSet, importPath, dir string, fileNames []string, 
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
+		markers:    indexMarkers(fset, files),
 	}, nil
 }
 
@@ -248,6 +251,7 @@ func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 		Pkg:       pkg.Types,
 		TypesInfo: pkg.Info,
 		report:    func(d Diagnostic) { diags = append(diags, d) },
+		markers:   pkg.markers,
 	}
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.ImportPath, err)

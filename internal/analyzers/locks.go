@@ -86,6 +86,8 @@ func (id lockID) sortKey() string {
 	return fmt.Sprintf("%s.%s/%s#%d", id.owner, id.field, id.display(), pos)
 }
 
+func (id lockID) less(o lockID) bool { return id.sortKey() < o.sortKey() }
+
 // heldSet is the set of locks held at a program point, keyed by full
 // (instance-qualified where possible) lockID.
 type heldSet map[lockID]lockStrength
@@ -252,6 +254,14 @@ type fieldAccess struct {
 	held  heldSet
 }
 
+// describe names the access: "write of serve.job.state".
+func (a fieldAccess) describe() string {
+	if a.write {
+		return "write of " + a.guard.display
+	}
+	return "read of " + a.guard.display
+}
+
 // callSite is one statically resolved call, with the locks held around
 // it — the joint currency of requirement discharge (guardedby) and
 // lock-order edge construction (lockorder).
@@ -266,7 +276,6 @@ type callSite struct {
 type lockAcq struct {
 	id   lockID
 	pos  token.Pos
-	read bool
 	held heldSet
 }
 
@@ -630,7 +639,7 @@ func (sc *scanner) applyLockOp(e ast.Expr, held heldSet) {
 		sc.sum.acqs = append(sc.sum.acqs, lockAcq{id: id, pos: call.Pos(), held: held.clone()})
 		held[id] = writeHeld
 	case "RLock":
-		sc.sum.acqs = append(sc.sum.acqs, lockAcq{id: id, pos: call.Pos(), read: true, held: held.clone()})
+		sc.sum.acqs = append(sc.sum.acqs, lockAcq{id: id, pos: call.Pos(), held: held.clone()})
 		if held[id] != writeHeld {
 			held[id] = readHeld
 		}

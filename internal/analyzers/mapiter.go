@@ -24,20 +24,27 @@ func runMapIter(pass *Pass) error {
 		if !ok {
 			return true
 		}
-		tv, ok := pass.TypesInfo.Types[rng.X]
-		if !ok || tv.Type == nil {
-			return true
-		}
-		if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-			return true
-		}
-		if pass.Allowed("unordered", rng.Pos()) {
+		t := mapRanged(pass.TypesInfo, rng)
+		if t == nil || pass.Allowed("unordered", rng.Pos()) {
 			return true
 		}
 		pass.Reportf(rng.Pos(),
 			"range over map %s iterates in randomized order and can diverge replay; iterate a sorted key slice, or mark an order-insensitive loop with //bce:unordered",
-			types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)))
+			types.TypeString(t, types.RelativeTo(pass.Pkg)))
 		return true
 	})
 	return nil
+}
+
+// mapRanged returns the map type a range statement iterates, or nil.
+// The direct pass and the fact engine's seed share it.
+func mapRanged(info *types.Info, rng *ast.RangeStmt) types.Type {
+	tv, ok := info.Types[rng.X]
+	if !ok || tv.Type == nil {
+		return nil
+	}
+	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+		return nil
+	}
+	return tv.Type
 }

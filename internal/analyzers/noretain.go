@@ -38,14 +38,13 @@ var NoRetain = &Analyzer{
 }
 
 func runNoRetain(pass *Pass) error {
-	idx := pass.markerIdx()
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if !idx.allows(pass.Fset, "scratch", fd.Pos()) {
+			if !pass.Allowed("scratch", fd.Pos()) {
 				continue
 			}
 			newRetainChecker(pass, fd).check()

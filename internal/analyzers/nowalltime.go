@@ -1,6 +1,9 @@
 package analyzers
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/types"
+)
 
 // NoWallTime flags reads of the host's wall clock — time.Now,
 // time.Since and time.Sleep — which make emulation results depend on
@@ -26,11 +29,8 @@ func runNoWallTime(pass *Pass) error {
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pass.TypesInfo, call)
-		if !isPackageLevel(fn, "time") || !wallClockFuncs[fn.Name()] {
-			return true
-		}
-		if pass.Allowed("wallclock", call.Pos()) {
+		fn := wallClockCall(pass.TypesInfo, call)
+		if fn == nil || pass.Allowed("wallclock", call.Pos()) {
 			return true
 		}
 		pass.Reportf(call.Pos(),
@@ -38,5 +38,15 @@ func runNoWallTime(pass *Pass) error {
 			fn.Name())
 		return true
 	})
+	return nil
+}
+
+// wallClockCall returns the time function a call reads the wall clock
+// through, however it is named (time.Now, or Now under a dot import),
+// or nil. The direct pass and the fact engine's seed share it.
+func wallClockCall(info *types.Info, call *ast.CallExpr) *types.Func {
+	if fn := staticCallee(info, call); isPackageLevel(fn, "time") && wallClockFuncs[fn.Name()] {
+		return fn
+	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package analyzers
 
-import "go/ast"
+import (
+	"go/ast"
+	"go/types"
+)
 
 // SeededRand flags calls to the global math/rand and math/rand/v2
 // top-level functions, whose shared process-wide state breaks seed
@@ -32,11 +35,8 @@ func runSeededRand(pass *Pass) error {
 		if !ok {
 			return true
 		}
-		fn := calleeFunc(pass.TypesInfo, call)
-		if fn == nil || randConstructors[fn.Name()] {
-			return true
-		}
-		if !isPackageLevel(fn, "math/rand") && !isPackageLevel(fn, "math/rand/v2") {
+		fn := globalRandCall(pass.TypesInfo, call)
+		if fn == nil {
 			return true
 		}
 		pass.Reportf(call.Pos(),
@@ -45,4 +45,19 @@ func runSeededRand(pass *Pass) error {
 		return true
 	})
 	return nil
+}
+
+// globalRandCall returns the global math/rand or math/rand/v2 function
+// a call draws from, however it is named, or nil for the constructors
+// of seeded generators and everything else. The direct pass and the
+// fact engine's seed share it.
+func globalRandCall(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn := staticCallee(info, call)
+	if fn == nil || randConstructors[fn.Name()] {
+		return nil
+	}
+	if !isPackageLevel(fn, "math/rand") && !isPackageLevel(fn, "math/rand/v2") {
+		return nil
+	}
+	return fn
 }

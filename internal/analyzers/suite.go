@@ -94,12 +94,12 @@ func RunRules(pkgs []*Package, rules []Rule) ([]Diagnostic, error) {
 		}
 	}
 	graph := buildCallGraph(pkgs)
-	all = append(all, computeFacts(pkgs, graph).report(rules)...)
+	all = append(all, computeFacts(graph).report(rules)...)
 	if concurrencyRules(rules) {
 		all = append(all, computeConcurrency(pkgs, graph).report(rules)...)
 	}
 	if allocRules(rules) {
-		all = append(all, computeAlloc(pkgs, graph).report(rules)...)
+		all = append(all, computeAlloc(graph).report(rules)...)
 	}
 	sortDiagnostics(all)
 	return all, nil
