@@ -172,9 +172,13 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 	if err != nil {
 		return err
 	}
+	ttl := time.Duration(*leaseSecs * float64(time.Second))
+	if ttl <= 0 {
+		ttl = fabric.DefaultLeaseTTL
+	}
 	coord, err := fabric.NewCoordinator(specFromParams(p, *shards), fabric.CoordinatorOptions{
 		Dir:      *dir,
-		LeaseTTL: time.Duration(*leaseSecs * float64(time.Second)),
+		LeaseTTL: ttl,
 		Log:      stderrLog(true),
 	})
 	if err != nil {
@@ -186,6 +190,7 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 	}
 	srv := &http.Server{Handler: coord.Handler()}
 	errCh := make(chan error, 1)
+	serving := time.Now()
 	go func() { errCh <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "study-coord: serving %d scenarios in %d shards on http://%s\n",
 		p.Scenarios, *shards, ln.Addr())
@@ -201,6 +206,24 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 		srv.Close()
 		return ctx.Err()
 	}
+	// A worker exits only on a done reply and takes a refused connection
+	// for a coordinator restart, so keep answering done for one lease
+	// TTL. Stop sooner once every worker heard from has had its reply,
+	// but not before this process has served one TTL: any other live
+	// worker asks within it (a waiting one every half TTL, one retrying
+	// a refused connection every second, a folding one at each renewal).
+	linger := time.NewTimer(ttl)
+	select {
+	case <-linger.C:
+	case <-ctx.Done():
+	case <-coord.Drained():
+		select {
+		case <-time.After(time.Until(serving.Add(ttl))):
+		case <-linger.C:
+		case <-ctx.Done():
+		}
+	}
+	linger.Stop()
 	srv.Close()
 
 	st, err := coord.Result()

@@ -43,9 +43,9 @@
 //
 // Several rules also propagate interprocedurally, on one engine: a
 // module-wide call graph whose components are computed once
-// (callgraph.go), one fixpoint driver each fact tier feeds with a step
-// function (facts.go for the determinism facts, concurrency.go for
-// requires-lock/acquires/terminates, allocfacts.go for
+// (callgraph.go), one fixpoint loop that each fact tier feeds with a
+// step function (facts.go for the determinism facts, concurrency.go
+// for requires-lock/acquires/terminates, allocfacts.go for
 // transitively-allocates), and one witness type and chain renderer
 // (witness.go). A violation buried in an out-of-scope helper surfaces
 // at the governed call site, with the full call chain.

@@ -79,6 +79,10 @@ type Coordinator struct {
 	shards []shardState      //bce:guardedby mu
 	result *population.Study //bce:guardedby mu — set once all shards report
 	doneCh chan struct{}     //bce:guardedby mu — closed alongside result
+	// workers maps each worker heard from to whether it still awaits
+	// the done reply it exits on.
+	workers map[string]bool //bce:guardedby mu
+	drained chan struct{}   //bce:guardedby mu — closed once, see Drained
 }
 
 // NewCoordinator builds a coordinator for spec. With a persistence
@@ -97,6 +101,8 @@ func NewCoordinator(spec Spec, opts CoordinatorOptions) (*Coordinator, error) {
 		now:      opts.now,
 		shards:   make([]shardState, spec.Shards),
 		doneCh:   make(chan struct{}),
+		workers:  make(map[string]bool),
+		drained:  make(chan struct{}),
 	}
 	if c.leaseTTL <= 0 {
 		c.leaseTTL = DefaultLeaseTTL
@@ -206,6 +212,37 @@ func (c *Coordinator) Done() <-chan struct{} {
 	return c.doneCh
 }
 
+// Drained is closed once the study is complete and every worker this
+// coordinator has heard from has been answered done. A worker exits
+// only on that reply and takes a refused connection for a coordinator
+// restart, so a coordinator process keeps serving until Drained (or a
+// lease TTL, for workers it never heard from) before it stops.
+func (c *Coordinator) Drained() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.drained
+}
+
+// noteWorkerLocked records whether a worker still awaits its done
+// reply, closing drained when the study is complete and none does.
+// Callers hold mu.
+func (c *Coordinator) noteWorkerLocked(name string, awaiting bool) {
+	c.workers[name] = awaiting
+	if c.result == nil {
+		return
+	}
+	for _, a := range c.workers {
+		if a {
+			return
+		}
+	}
+	select {
+	case <-c.drained:
+	default:
+		close(c.drained)
+	}
+}
+
 // Result returns the merged study, or an error while shards are still
 // outstanding.
 func (c *Coordinator) Result() (*population.Study, error) {
@@ -253,6 +290,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.now()
+	c.noteWorkerLocked(req.Worker, true)
 
 	grant := func(i int) {
 		sh := &c.shards[i] //bce:lockok grant only runs below, with handleLease's mu held
@@ -292,6 +330,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if done == len(c.shards) {
+		c.noteWorkerLocked(req.Worker, false)
 		writeJSON(w, http.StatusOK, LeaseReply{Status: StatusDone})
 		return
 	}
@@ -308,6 +347,7 @@ func (c *Coordinator) handleProgress(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.noteWorkerLocked(req.Worker, true)
 	if req.Shard < 0 || req.Shard >= len(c.shards) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("fabric: no shard %d", req.Shard))
 		return
@@ -340,6 +380,7 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.noteWorkerLocked(req.Worker, true)
 	if req.Shard < 0 || req.Shard >= len(c.shards) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("fabric: no shard %d", req.Shard))
 		return

@@ -346,6 +346,98 @@ func TestFabricLeaseExpiry(t *testing.T) {
 	}
 }
 
+// A worker whose lease is lost mid-fold (another worker reported the
+// shard first, as after a coordinator restart re-grants it) abandons
+// the fold and leases again; it must not report its partial study,
+// which the coordinator refuses as incomplete.
+func TestFabricLostLeaseIsNotReported(t *testing.T) {
+	spec := testSpec(40, 1)
+	c, err := NewCoordinator(spec, CoordinatorOptions{LeaseTTL: 30 * time.Second, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+
+	p, err := spec.Params(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RunBatch = stubBatch
+	full, err := population.Run(ctx, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a := &Worker{Coord: srv.URL, Name: "a", Dir: t.TempDir(), RunBatch: stubBatch, Log: t.Logf}
+	a.Progress = func(shard, done, total int) {
+		if done != spec.BatchSize {
+			return
+		}
+		// After a's first batch, b delivers the whole shard; a's
+		// renewal right after this hook is refused.
+		status, _, err := a.post(ctx, "/v1/report", ReportRequest{Worker: "b", Shard: 0, Study: full}, &struct{}{})
+		if err != nil || status != 200 {
+			t.Errorf("b's report: %d, %v", status, err)
+		}
+	}
+	if err := a.Run(ctx); err != nil {
+		t.Fatalf("worker with a lost lease: %v; want a clean exit on the done reply", err)
+	}
+}
+
+// A worker exits only on a done reply, so Drained — which lets a
+// coordinator process stop serving — waits for every worker heard from,
+// including one whose lease expired while it was silent.
+func TestFabricDrainedAfterEveryDoneReply(t *testing.T) {
+	spec := testSpec(40, 2)
+	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	c, err := NewCoordinator(spec, CoordinatorOptions{
+		LeaseTTL: 30 * time.Second,
+		now:      func() time.Time { return clock },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	ctx := context.Background()
+	drained := func() bool {
+		select {
+		case <-c.Drained():
+			return true
+		default:
+			return false
+		}
+	}
+
+	wb := &Worker{Coord: srv.URL, Name: "b", Dir: t.TempDir()}
+	if l, _, err := wb.lease(ctx); err != nil || l.Status != StatusLease {
+		t.Fatalf("b's lease: %+v, %v", l, err)
+	}
+	clock = clock.Add(31 * time.Second)
+
+	// a takes over b's expired shard, folds the study, and exits on its
+	// done reply; b has not asked since.
+	runWorkers(t, ctx, srv.URL, t.TempDir(), "a")
+	select {
+	case <-c.Done():
+	default:
+		t.Fatal("worker exited but the study is not done")
+	}
+	if drained() {
+		t.Fatal("drained before b was answered done")
+	}
+
+	if l, _, err := wb.lease(ctx); err != nil || l.Status != StatusDone {
+		t.Fatalf("b's lease after completion: %+v, %v; want done", l, err)
+	}
+	if !drained() {
+		t.Fatal("not drained after every worker was answered done")
+	}
+}
+
 // Report validation: wrong ranges, incomplete shards and diverging
 // duplicates are refused; bit-identical duplicates are acknowledged.
 func TestFabricReportValidation(t *testing.T) {

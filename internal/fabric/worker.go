@@ -134,8 +134,10 @@ func (w *Worker) runShard(ctx context.Context, lease LeaseReply, opts ...runner.
 		}
 	}
 
+	// The fold's error must land in the outer err: a Study returned
+	// beside one is partial, and reporting it is refused as incomplete.
 	var st *population.Study
-	if _, err := os.Stat(p.CheckpointPath); err == nil {
+	if _, serr := os.Stat(p.CheckpointPath); serr == nil {
 		// A local checkpoint must belong to this exact shard of this
 		// exact study; anything else is stale state from an old run and
 		// folding onto it would poison the aggregates.
