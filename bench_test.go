@@ -55,6 +55,10 @@ func BenchmarkEmulationDay(b *testing.B) { perf.BenchEmulationDay(b) }
 // BenchmarkRRSim/jobheavy (which isolates one simulation pass).
 func BenchmarkRRSimJobHeavyFleet(b *testing.B) { perf.BenchJobHeavyFleet(b) }
 
+// BenchmarkClientNew measures client.New, the per-cell setup a study
+// or a served run pays, over a deck of 64 population-sampled configs.
+func BenchmarkClientNew(b *testing.B) { perf.BenchClientNew(b) }
+
 // Job-service (internal/serve) wrappers: cache-hit cost, in-process
 // async ticket round-trip, and HTTP submit→poll cycles through the
 // load generator.

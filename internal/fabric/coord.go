@@ -4,7 +4,9 @@
 // and every reported shard go to disk as they arrive, leases expire by
 // timestamp comparison at the next request (no timers), so a restarted
 // coordinator reconstructs everything it needs from its directory and
-// the workers' own retries.
+// the workers' own retries. It holds its idle shards back for one lease
+// TTL after such a restart, so a worker still folding one renews it
+// before anyone else is granted it.
 package fabric
 
 import (
@@ -74,6 +76,11 @@ type Coordinator struct {
 	leaseTTL time.Duration
 	log      func(format string, args ...any)
 	now      func() time.Time
+	// reserveUntil is zero on a fresh dir. After a restart it is one
+	// lease TTL past the coordinator's start: until then a lease request
+	// gets no idle shard, because a live worker may still be folding it
+	// and has not renewed yet (its next progress report adopts it).
+	reserveUntil time.Time
 
 	mu     sync.Mutex
 	shards []shardState      //bce:guardedby mu
@@ -144,6 +151,8 @@ func (c *Coordinator) restore() error {
 			return fmt.Errorf("fabric: %s belongs to a different study: dir has %s, this run wants %s (use a fresh -dir or matching flags)",
 				specPath, redisk, reWant)
 		}
+		c.reserveUntil = c.now().Add(c.leaseTTL)
+		c.log("fabric: restarted on %s; idle shards wait %s for their workers' renewals", c.dir, c.leaseTTL)
 	case errors.Is(err, os.ErrNotExist):
 		if werr := population.WriteFileAtomic(specPath, want); werr != nil {
 			return fmt.Errorf("fabric: write spec: %w", werr)
@@ -321,6 +330,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case sh.state == shardDone:
 			done++
+		case sh.state == shardIdle && now.Before(c.reserveUntil):
+			// Reserved for the worker that may still hold it.
 		case sh.state == shardIdle, sh.state == shardLeased && !now.Before(sh.expires):
 			if sh.state == shardLeased {
 				c.log("fabric: lease on shard %d by %s expired; re-granting to %s", i, sh.worker, req.Worker)

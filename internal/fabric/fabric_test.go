@@ -230,7 +230,9 @@ func TestFabricCoordinatorRestart(t *testing.T) {
 
 	dir := t.TempDir()
 	coordDir := dir + "/coord"
-	c1, err := NewCoordinator(spec, CoordinatorOptions{Dir: coordDir, LeaseTTL: 5 * time.Second, Log: t.Logf})
+	// A short TTL: the restarted coordinator holds idle shards back for
+	// one TTL, and the workers below wait that out.
+	c1, err := NewCoordinator(spec, CoordinatorOptions{Dir: coordDir, LeaseTTL: time.Second, Log: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +281,7 @@ func TestFabricCoordinatorRestart(t *testing.T) {
 		t.Fatal("restart with a different spec should fail")
 	}
 	// ...and adopt the reported shards for the true spec.
-	c2, err := NewCoordinator(spec, CoordinatorOptions{Dir: coordDir, LeaseTTL: 5 * time.Second, Log: t.Logf})
+	c2, err := NewCoordinator(spec, CoordinatorOptions{Dir: coordDir, LeaseTTL: time.Second, Log: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +298,68 @@ func TestFabricCoordinatorRestart(t *testing.T) {
 	}
 	if asJSON(t, got) != want {
 		t.Fatal("post-restart result differs from single-process fold")
+	}
+}
+
+// A restarted coordinator cannot tell an idle shard from one a live
+// worker is still folding, so for one lease TTL it grants no idle
+// shard: the folding worker's renewal adopts its shard first, and a
+// waiting worker then gets a different one.
+func TestFabricRestartReservesIdleShards(t *testing.T) {
+	spec := testSpec(60, 3)
+	dir := t.TempDir()
+	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	opts := CoordinatorOptions{Dir: dir, LeaseTTL: 30 * time.Second, now: func() time.Time { return clock }}
+	ctx := context.Background()
+
+	// On a fresh dir a lease is granted at once.
+	c1, err := NewCoordinator(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := httptest.NewServer(c1.Handler())
+	wa := &Worker{Coord: srv1.URL, Name: "a", Dir: t.TempDir()}
+	la, _, err := wa.lease(ctx)
+	srv1.Close()
+	if err != nil || la.Status != StatusLease {
+		t.Fatalf("a's lease on a fresh coordinator: %+v, %v", la, err)
+	}
+	k := la.Shard
+
+	// The coordinator restarts on the same dir while a folds shard k.
+	clock = clock.Add(5 * time.Second)
+	c2, err := NewCoordinator(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := httptest.NewServer(c2.Handler())
+	defer srv2.Close()
+	wa.Coord = srv2.URL
+	wb := &Worker{Coord: srv2.URL, Name: "b", Dir: t.TempDir()}
+	if lb, _, err := wb.lease(ctx); err != nil || lb.Status != StatusWait {
+		t.Fatalf("b's lease right after the restart: %+v, %v; want wait", lb, err)
+	}
+	clock = clock.Add(10 * time.Second)
+	status, _, err := wa.post(ctx, "/v1/progress", ProgressRequest{Worker: "a", Shard: k, Done: spec.BatchSize}, &struct{}{})
+	if err != nil || status != 200 {
+		t.Fatalf("a's renewal adopting shard %d: %d, %v", k, status, err)
+	}
+	clock = clock.Add(19 * time.Second)
+	if lb, _, err := wb.lease(ctx); err != nil || lb.Status != StatusWait {
+		t.Fatalf("b's lease just inside the reservation: %+v, %v; want wait", lb, err)
+	}
+
+	// One TTL after the restart, b gets an idle shard, never k.
+	clock = clock.Add(time.Second)
+	lb, _, err := wb.lease(ctx)
+	if err != nil || lb.Status != StatusLease {
+		t.Fatalf("b's lease after the reservation: %+v, %v", lb, err)
+	}
+	if lb.Shard == k {
+		t.Fatalf("b was granted shard %d, which a is still folding", k)
+	}
+	if st := c2.Status(); st.Leased != 2 || st.Idle != 1 {
+		t.Fatalf("status after both leases: %+v; want 2 leased, 1 idle", st)
 	}
 }
 

@@ -6,13 +6,17 @@ import (
 	"testing"
 
 	"bce"
+	"bce/internal/client"
 	"bce/internal/experiments"
 	"bce/internal/fetch"
 	"bce/internal/host"
 	"bce/internal/job"
 	"bce/internal/rrsim"
+	"bce/internal/runner"
+	"bce/internal/scenario"
 	"bce/internal/sched"
 	"bce/internal/sim"
+	"bce/internal/stats"
 )
 
 // sink defeats dead-code elimination in micro-benchmarks.
@@ -34,6 +38,7 @@ func HotSuite() []Bench {
 		{Name: "sim_eventloop", Doc: "event kernel under a client-like timer/reschedule pattern", F: BenchSimEventLoop},
 		{Name: "rrsim_deep", Doc: "one round-robin simulation pass, 16 CPUs, 1,500 jobs in arrival batches", F: BenchRRSimDeep},
 		{Name: "sched_queue", Doc: "one scheduling pass over the same 1,500 tasks, all endangered", F: BenchSchedQueue},
+		{Name: "client_new", Doc: "client.New over 64 population-sampled 0.02-day configs", F: BenchClientNew},
 	}
 }
 
@@ -422,6 +427,43 @@ func BenchSchedQueue(b *testing.B) {
 		sink = len(e.Enforce(in).Run)
 	}
 }
+
+// clientNewDeck is how many population-sampled configs one
+// BenchClientNew op builds a client for.
+const clientNewDeck = 64
+
+// BenchClientNew measures client.New, the setup every study cell and
+// served run pays before its first event, over a fixed deck of
+// population-sampled configs (0.02 days, seed 1): sporadic hosts, GPU
+// hosts and projects with downtime or work gaps, so every stream the
+// client forks is built. One op builds the whole deck, which keeps
+// allocs/op independent of the iteration count.
+func BenchClientNew(b *testing.B) {
+	cfgs := make([]client.Config, clientNewDeck)
+	for i := range cfgs {
+		scn := scenario.Sample(stats.NewRNG(runner.DeriveSeed(1, i)), scenario.PopulationParams{DurationDays: 0.02})
+		cfg, err := scn.Config()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfgs[i] = cfg
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, cfg := range cfgs {
+			c, err := client.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkClient = c
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*clientNewDeck), "us/client")
+}
+
+// sinkClient keeps BenchClientNew's clients reachable.
+var sinkClient *client.Client
 
 // BenchSimEventLoop measures the discrete-event kernel under the
 // client's timer pattern: many periodic chains (availability channels,

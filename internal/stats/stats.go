@@ -16,40 +16,55 @@ import (
 // RNG is a deterministic random stream. Distinct model components should
 // use distinct streams (see Fork) so adding draws to one component does
 // not perturb another.
+//
+// A stream draws the same bits as rand.New(rand.NewSource(seed)), but
+// holds only its seed until its first draw: most streams an emulation
+// forks (a project's downtime channel, an always-on availability
+// channel) never draw at all, and then cost one small struct.
 type RNG struct {
-	r *rand.Rand
+	seed int64
+	r    *rand.Rand // nil until the first draw
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{r: rand.New(rand.NewSource(seed))}
+	return &RNG{seed: seed}
+}
+
+// gen returns the stream's generator, building it on the first draw.
+func (g *RNG) gen() *rand.Rand {
+	if g.r == nil {
+		g.r = rand.New(newSource(g.seed))
+	}
+	return g.r
 }
 
 // Fork derives an independent child stream; the label keeps children
 // with different purposes decorrelated even with equal parent state.
+// It draws one value from g.
 func (g *RNG) Fork(label string) *RNG {
 	h := int64(14695981039346656037 & 0x7fffffffffffffff)
 	for _, c := range label {
 		h = (h ^ int64(c)) * 1099511628211
 	}
-	return NewRNG(g.r.Int63() ^ h)
+	return NewRNG(g.gen().Int63() ^ h)
 }
 
 // Float64 returns a uniform draw in [0,1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.gen().Float64() }
 
 // Intn returns a uniform draw in [0,n).
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.gen().Intn(n) }
 
 // Uniform returns a uniform draw in [lo,hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
+	return lo + (hi-lo)*g.gen().Float64()
 }
 
 // Normal returns a normal draw with the given mean and standard
 // deviation.
 func (g *RNG) Normal(mean, stdev float64) float64 {
-	return mean + stdev*g.r.NormFloat64()
+	return mean + stdev*g.gen().NormFloat64()
 }
 
 // TruncNormal returns a normal draw truncated (by resampling, then
@@ -74,7 +89,7 @@ func (g *RNG) Exp(mean float64) float64 {
 	if mean <= 0 {
 		return 0
 	}
-	return g.r.ExpFloat64() * mean
+	return g.gen().ExpFloat64() * mean
 }
 
 // Lognormal returns exp(N(mu, sigma)). Runtime estimate errors are
@@ -84,7 +99,7 @@ func (g *RNG) Lognormal(mu, sigma float64) float64 {
 }
 
 // Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.gen().Perm(n) }
 
 // Mean is an online mean/variance accumulator. It keeps the exact sum
 // and exact sum of squares of its samples as non-overlapping float64
