@@ -1,9 +1,9 @@
 // The distributed-study subcommands. `study -shards N` is the
-// one-machine convenience: an in-process coordinator plus N spawned
-// `study-worker` children. `study-coord` and `study-worker` are the
-// same pieces as separate processes for anything longer-lived — kill
-// and restart any of them; the shard checkpoints and the coordinator
-// dir make the study converge to the same bits regardless.
+// one-machine form: a loopback coordinator and N fabric workers, all
+// in this process. `study-coord` and `study-worker` are the same
+// pieces as separate processes for anything longer-lived — kill and
+// restart any of them; the shard checkpoints and the coordinator dir
+// make the study converge to the same bits regardless.
 package main
 
 import (
@@ -14,9 +14,8 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
-	"strconv"
-	"syscall"
+	"slices"
+	"sync"
 	"time"
 
 	"bce/internal/fabric"
@@ -50,18 +49,30 @@ func stderrLog(verbose bool) func(string, ...any) {
 	}
 }
 
-// runShardedStudy is `study -shards N`: coordinator in-process on a
-// loopback port, N child worker processes, merged tables at the end.
-// Interrupt it and rerun the same command to resume — shard state
-// lives next to the checkpoint in <checkpoint>.shards/.
-func runShardedStudy(ctx context.Context, p population.Params, shards int, checkpoint string, progress bool, workers int, rep *report.Report) error {
+// newStudyWorker builds a fabric worker that logs to stderr and, with
+// progress, prints a per-shard "d/t scenarios" line after every batch.
+func newStudyWorker(coord, name, dir string, progress bool) *fabric.Worker {
+	w := &fabric.Worker{Coord: coord, Name: name, Dir: dir, Log: stderrLog(progress)}
+	if progress {
+		w.Progress = func(shard, done, total int) {
+			fmt.Fprintf(os.Stderr, "%s: shard %d: %d/%d scenarios\n", name, shard, done, total)
+		}
+	}
+	return w
+}
+
+// runShardedStudy is `study -shards N`: a coordinator on a loopback
+// port and N workers as goroutines of this process, merged tables at
+// the end. Each shard's durable state is its worker checkpoint in
+// <checkpoint>.shards/, so the coordinator keeps none: interrupt the
+// study and rerun the same command, and every shard resumes from its
+// checkpoint (a finished one reports at once).
+func runShardedStudy(ctx context.Context, p population.Params, shards int, checkpoint string, progress bool, workers int, rep *report.Report, opts []runner.Option) error {
 	if checkpoint == "" {
 		return fmt.Errorf("study -shards needs -checkpoint: it anchors the merged result and the per-shard state dir")
 	}
 	dir := checkpoint + ".shards"
-	spec := specFromParams(p, shards)
-	coord, err := fabric.NewCoordinator(spec, fabric.CoordinatorOptions{
-		Dir: dir,
+	coord, err := fabric.NewCoordinator(specFromParams(p, shards), fabric.CoordinatorOptions{
 		Log: stderrLog(progress),
 	})
 	if err != nil {
@@ -77,48 +88,31 @@ func runShardedStudy(ctx context.Context, p population.Params, shards int, check
 	defer srv.Close()
 	url := "http://" + ln.Addr().String()
 
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	// Split the batch worker budget across the child processes; each
-	// child still parallelizes within its shard.
-	per := workers / shards
-	if per < 1 {
-		per = 1
-	}
-	procs := make([]*exec.Cmd, 0, shards)
-	for i := 0; i < shards; i++ {
-		args := []string{
-			"-workers", strconv.Itoa(per),
-			"-progress=" + strconv.FormatBool(progress),
-			"study-worker",
-			"-coord", url,
-			"-name", fmt.Sprintf("shard-worker-%d", i),
-			"-dir", dir,
-		}
-		cmd := exec.CommandContext(ctx, exe, args...)
-		cmd.Stderr = os.Stderr
-		cmd.Stdout = os.Stderr
-		// On interrupt, SIGTERM the children so they checkpoint between
-		// batches; escalate to SIGKILL only if they dawdle.
-		cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
-		cmd.WaitDelay = 10 * time.Second
-		if err := cmd.Start(); err != nil {
-			for _, sib := range procs {
-				_ = sib.Process.Signal(syscall.SIGTERM) //bce:errok best-effort cleanup of already-started siblings
+	// Split the batch worker budget across the shard workers; each
+	// still parallelizes within its shard. The first worker to return
+	// stops the rest: it returns nil only on the coordinator's done
+	// reply, so the others need not wait for theirs, and an error means
+	// the study cannot finish.
+	opts = append(slices.Clip(opts), runner.WithWorkers(max(workers/shards, 1)))
+	wctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		failOnce sync.Once
+		failed   error
+	)
+	for i := range shards {
+		w := newStudyWorker(url, fmt.Sprintf("shard-worker-%d", i), dir, progress)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer cancel()
+			if err := w.Run(wctx, opts...); err != nil {
+				failOnce.Do(func() { failed = fmt.Errorf("%s: %w", w.Name, err) })
 			}
-			return fmt.Errorf("starting worker %d: %w", i, err)
-		}
-		procs = append(procs, cmd)
+		}()
 	}
-
-	var workerErr error
-	for i, cmd := range procs {
-		if err := cmd.Wait(); err != nil && workerErr == nil && ctx.Err() == nil {
-			workerErr = fmt.Errorf("worker %d: %w", i, err)
-		}
-	}
+	wg.Wait()
 
 	select {
 	case <-coord.Done():
@@ -129,8 +123,8 @@ func runShardedStudy(ctx context.Context, p population.Params, shards int, check
 				s.ScenariosDone, s.Scenarios)
 			return err
 		}
-		if workerErr != nil {
-			return workerErr
+		if failed != nil {
+			return failed
 		}
 		return fmt.Errorf("workers exited but the study is incomplete (see %s)", dir)
 	}
@@ -210,8 +204,8 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 	// for a coordinator restart, so keep answering done for one lease
 	// TTL. Stop sooner once every worker heard from has had its reply,
 	// but not before this process has served one TTL: any other live
-	// worker asks within it (a waiting one every half TTL, one retrying
-	// a refused connection every second, a folding one at each renewal).
+	// worker asks within it (a waiting one or one retrying a refused
+	// connection every second, a folding one at each renewal).
 	linger := time.NewTimer(ttl)
 	select {
 	case <-linger.C:
@@ -258,18 +252,7 @@ func runStudyWorker(ctx context.Context, args []string, progress bool, opts []ru
 	if *coordURL == "" || *dir == "" {
 		return fmt.Errorf("study-worker needs -coord and -dir")
 	}
-	w := &fabric.Worker{
-		Coord: *coordURL,
-		Name:  *name,
-		Dir:   *dir,
-		Log:   stderrLog(progress),
-	}
-	if progress {
-		w.Progress = func(shard, done, total int) {
-			fmt.Fprintf(os.Stderr, "%s: shard %d: %d/%d scenarios\n", *name, shard, done, total)
-		}
-	}
-	err := w.Run(ctx, opts...)
+	err := newStudyWorker(*coordURL, *name, *dir, progress).Run(ctx, opts...)
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "%s: interrupted; restart with the same -name and -dir to resume\n", *name)
 	}

@@ -6,7 +6,7 @@
 //	bcectl compare scenario.json           all policy combinations on one scenario
 //	bcectl sweep   scenario.json           sweep a scenario parameter
 //	bcectl study -n 1000                   streaming Monte-Carlo population study
-//	bcectl study -shards 4 ...             the same study across local worker processes
+//	bcectl study -shards 4 ...             the same study folded as 4 shards in this process
 //	bcectl study-coord / study-worker      distributed study across machines/processes
 //	bcectl bench run|compare|gate          performance ledger (internal/perf)
 //	bcectl loadgen -url http://host:8080   load-test a running bceweb
@@ -174,8 +174,8 @@ func usage() {
   bcectl [flags] study [study flags]
                                    streaming population study with
                                    checkpoint/resume (study -h for flags);
-                                   -shards N fans it out across N local
-                                   worker processes
+                                   -shards N folds it as N shards, each
+                                   resumable on its own
   bcectl study-coord -dir DIR      coordinator for a distributed study:
                                    leases scenario shards to workers,
                                    merges their aggregates

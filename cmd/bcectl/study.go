@@ -1,6 +1,6 @@
 // The study subcommand: a streaming Monte-Carlo population study
-// (paper §6.2) with checkpoint/resume, optionally fanned out across
-// local worker processes (-shards N) through the fabric coordinator.
+// (paper §6.2) with checkpoint/resume, optionally folded as N shards
+// (-shards N) by in-process fabric workers and a loopback coordinator.
 // Unlike compare/sweep, which keep every run's metrics, study folds
 // each (scenario, policy) cell into constant-size aggregates, so -n
 // can be large.
@@ -131,7 +131,7 @@ func runStudy(ctx context.Context, args []string, progress bool, workers int, re
 	var (
 		checkpoint = fs.String("checkpoint", "", "write an aggregate checkpoint to this file")
 		resume     = fs.String("resume", "", "resume from this checkpoint file (overrides population flags)")
-		shards     = fs.Int("shards", 0, "fan the study out across N local worker processes (needs -checkpoint)")
+		shards     = fs.Int("shards", 0, "fold the study as N shards, each checkpointed and resumed on its own (needs -checkpoint)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: bcectl [flags] study [study flags]")
@@ -152,7 +152,7 @@ func runStudy(ctx context.Context, args []string, progress bool, workers int, re
 		if *resume != "" {
 			return fmt.Errorf("study -shards manages its own per-shard resume; rerun the same -shards command instead of -resume")
 		}
-		return runShardedStudy(ctx, p, *shards, *checkpoint, progress, workers, rep)
+		return runShardedStudy(ctx, p, *shards, *checkpoint, progress, workers, rep, opts)
 	}
 
 	if progress {

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"bce/internal/client"
 	"bce/internal/metrics"
@@ -125,5 +129,39 @@ func TestStudyShardsRejectsResume(t *testing.T) {
 	err := runStudy(context.Background(), []string{"-shards", "2", "-checkpoint", "x", "-resume", "y"}, false, 1, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "per-shard resume") {
 		t.Fatalf("sharded study with -resume: err = %v, want a conflict complaint", err)
+	}
+}
+
+// TestStudyShardsBitIdentical runs `study -shards 3` in this process
+// and requires its merged checkpoint to equal the unsharded command's
+// byte for byte. A rerun of the finished study resumes every shard from
+// its own checkpoint, so it reports at once, with the same bytes.
+func TestStudyShardsBitIdentical(t *testing.T) {
+	dir := t.TempDir()
+	flags := []string{"-n", "12", "-days", "0.02", "-seed", "5", "-batch", "4"}
+	study := func(ck string, extra ...string) []byte {
+		t.Helper()
+		args := append(append(slices.Clip(flags), "-checkpoint", ck), extra...)
+		if err := runStudy(context.Background(), args, false, 2, nil, nil); err != nil {
+			t.Fatalf("study %v: %v", args, err)
+		}
+		b, err := os.ReadFile(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := study(filepath.Join(dir, "ref.json"))
+	sharded := filepath.Join(dir, "sharded.json")
+	if got := study(sharded, "-shards", "3"); !bytes.Equal(got, want) {
+		t.Fatal("sharded checkpoint differs from the unsharded one")
+	}
+	start := time.Now()
+	got := study(sharded, "-shards", "3")
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("rerun of the finished sharded study took %v, want under 5s", d)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("rerun's checkpoint differs from the unsharded one")
 	}
 }

@@ -4,41 +4,23 @@
 // three concurrency rules (guardedby, goleak, lockorder), and two
 // allocation rules (hotalloc, noretain) — with interprocedural fact
 // propagation surfacing laundered violations at the governed call site
-// (see DESIGN.md §10). CI runs it as
-// `go run ./cmd/bcelint -json -ci -baseline .bcelint-baseline.json ./...`;
-// a non-baselined finding exits 1.
+// (see DESIGN.md §10). CI runs it as `go run ./cmd/bcelint -json ./...`;
+// any finding exits 1. A deliberate exception is accepted in place, by
+// a //bce:* directive with its required reason.
 //
 // With -json, each diagnostic is one JSON object per line (analyzer,
 // position, message, call chain) for CI annotations and editors; plain
 // text renders the chain indented under the finding.
-//
-// -baseline FILE suppresses findings recorded in FILE, so a new
-// analyzer can land before every pre-existing finding is fixed: CI
-// fails only on findings outside the baseline. -write-baseline
-// (re)writes FILE from the current findings. Keys are content hashes
-// of (analyzer, cwd-relative position, message), so a baseline
-// survives checkout moves but not code drift — any change to the
-// finding re-surfaces it.
-//
-// A baseline entry whose finding no longer occurs is stale: the debt
-// it recorded was paid, and keeping the entry would mask a future
-// regression that happens to hash identically. Stale entries are
-// always reported on stderr; with -ci they fail the run (exit 1), so
-// the committed baseline can only shrink. -prune-baseline rewrites the
-// file keeping exactly the entries that still match.
 //
 // Analyzers see only non-test Go files — tests may use wall time,
 // ad-hoc seeded RNGs, and unguarded scaffolding freely.
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"bce/internal/analyzers"
 )
@@ -65,74 +47,11 @@ type jsonDiag struct {
 	Chain    []jsonStep `json:"chain,omitempty"`
 }
 
-// baselineFile is the committed suppression list: finding key → a
-// human-readable summary (the summary is documentation only; matching
-// is by key).
-type baselineFile struct {
-	Findings map[string]string `json:"findings"`
-}
-
-// relFile renders a diagnostic's file cwd-relative when possible, so
-// the same finding reads (and hashes) identically in CI and local
-// checkouts.
-func relFile(file string) string {
-	if wd, err := os.Getwd(); err == nil {
-		if rel, err := filepath.Rel(wd, file); err == nil {
-			return filepath.ToSlash(rel)
-		}
-	}
-	return file
-}
-
-// findingKey hashes one diagnostic into its stable baseline key.
-func findingKey(d analyzers.Diagnostic) string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%s:%d:%d\x00%s",
-		d.Analyzer, relFile(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Message)))
-	return fmt.Sprintf("%x", h[:12])
-}
-
-func readBaseline(path string) (map[string]string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var bf baselineFile
-	if err := json.Unmarshal(data, &bf); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	return bf.Findings, nil
-}
-
-func writeBaseline(path string, diags []analyzers.Diagnostic) error {
-	findings := map[string]string{}
-	for _, d := range diags {
-		findings[findingKey(d)] = fmt.Sprintf("%s: %s:%d:%d",
-			d.Analyzer, relFile(d.Pos.Filename), d.Pos.Line, d.Pos.Column)
-	}
-	return writeBaselineMap(path, findings)
-}
-
-func writeBaselineMap(path string, findings map[string]string) error {
-	data, err := json.MarshalIndent(baselineFile{Findings: findings}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 func main() {
 	jsonOut := flag.Bool("json", false,
 		"emit one JSON diagnostic object per line (analyzer, pos, message, chain)")
-	baselinePath := flag.String("baseline", "",
-		"suppress findings recorded in this baseline file; fail only on new ones")
-	writeBase := flag.Bool("write-baseline", false,
-		"rewrite the -baseline file from the current findings and exit 0")
-	ciMode := flag.Bool("ci", false,
-		"CI mode: stale baseline entries (recorded findings that no longer occur) fail the run")
-	pruneBase := flag.Bool("prune-baseline", false,
-		"rewrite the -baseline file keeping only entries that still match a finding")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: bcelint [-json] [-ci] [-baseline file [-write-baseline|-prune-baseline]] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: bcelint [-json] [packages]\n\n")
 		for _, rule := range analyzers.Suite() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", rule.Analyzer.Name, rule.Analyzer.Doc)
 		}
@@ -147,65 +66,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bcelint:", err)
 		os.Exit(2)
-	}
-
-	if *writeBase {
-		if *baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "bcelint: -write-baseline needs -baseline FILE")
-			os.Exit(2)
-		}
-		if err := writeBaseline(*baselinePath, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "bcelint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "bcelint: wrote %d finding(s) to %s\n", len(diags), *baselinePath)
-		return
-	}
-
-	if *pruneBase && *baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "bcelint: -prune-baseline needs -baseline FILE")
-		os.Exit(2)
-	}
-
-	suppressed := 0
-	var stale []string
-	if *baselinePath != "" {
-		base, err := readBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bcelint:", err)
-			os.Exit(2)
-		}
-		matched := make(map[string]bool, len(base))
-		kept := diags[:0]
-		for _, d := range diags {
-			key := findingKey(d)
-			if _, ok := base[key]; ok {
-				matched[key] = true
-				suppressed++
-				continue
-			}
-			kept = append(kept, d)
-		}
-		diags = kept
-		for key, summary := range base {
-			if !matched[key] {
-				stale = append(stale, fmt.Sprintf("%s (%s)", key, summary))
-			}
-		}
-		sort.Strings(stale)
-		if *pruneBase {
-			pruned := make(map[string]string, len(matched))
-			for key := range matched {
-				pruned[key] = base[key]
-			}
-			if err := writeBaselineMap(*baselinePath, pruned); err != nil {
-				fmt.Fprintln(os.Stderr, "bcelint:", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "bcelint: pruned %d stale entr%s from %s, kept %d\n",
-				len(stale), plural(len(stale), "y", "ies"), *baselinePath, len(pruned))
-			stale = nil
-		}
 	}
 
 	if *jsonOut {
@@ -236,29 +96,8 @@ func main() {
 			}
 		}
 	}
-	if suppressed > 0 {
-		fmt.Fprintf(os.Stderr, "bcelint: %d baselined finding(s) suppressed\n", suppressed)
-	}
-	for _, s := range stale {
-		fmt.Fprintf(os.Stderr, "bcelint: stale baseline entry %s no longer matches any finding\n", s)
-	}
-	if len(stale) > 0 {
-		fmt.Fprintf(os.Stderr, "bcelint: %d stale baseline entr%s; run -prune-baseline to remove\n",
-			len(stale), plural(len(stale), "y", "ies"))
-	}
-	fail := len(diags) > 0 || (*ciMode && len(stale) > 0)
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "bcelint: %d violation(s)\n", len(diags))
-	}
-	if fail {
 		os.Exit(1)
 	}
-}
-
-// plural selects the singular or plural suffix for n.
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -26,8 +26,6 @@ type Chart struct {
 
 	// Categories label the x positions of bar charts.
 	Categories []string
-
-	Width, Height int // pixels; defaults 640×360
 }
 
 var palette = []string{
@@ -35,23 +33,19 @@ var palette = []string{
 	"#edc948", "#b07aa1", "#ff9da7",
 }
 
+// Every chart is width×height pixels, plotW×plotH of them inside the
+// axes.
 const (
+	width        = 640
+	height       = 360
 	marginLeft   = 56
 	marginRight  = 16
 	marginTop    = 28
 	marginBottom = 44
-)
 
-func (c *Chart) dims() (w, h int) {
-	w, h = c.Width, c.Height
-	if w <= 0 {
-		w = 640
-	}
-	if h <= 0 {
-		h = 360
-	}
-	return
-}
+	plotW float64 = width - marginLeft - marginRight
+	plotH float64 = height - marginTop - marginBottom
+)
 
 // yRange returns the y axis range: [0, max] padded (figures of merit
 // live in [0,1]; other data gets 5% headroom).
@@ -144,17 +138,14 @@ func fmtTick(v float64) string {
 
 // LineSVG renders the chart as connected line series over numeric x.
 func (c *Chart) LineSVG() string {
-	w, h := c.dims()
 	var b strings.Builder
-	c.header(&b, w, h)
+	c.header(&b)
 	x0, x1 := c.xRange()
 	y0, y1 := c.yRange()
-	plotW := float64(w - marginLeft - marginRight)
-	plotH := float64(h - marginTop - marginBottom)
 	px := func(x float64) float64 { return marginLeft + frac(x, x0, x1)*plotW }
 	py := func(y float64) float64 { return marginTop + plotH - frac(y, y0, y1)*plotH }
 
-	c.axes(&b, w, h, x0, x1, y0, y1, true)
+	c.axes(&b, x0, x1, y0, y1, true)
 
 	for si, s := range c.Series {
 		color := palette[si%len(palette)]
@@ -176,7 +167,7 @@ func (c *Chart) LineSVG() string {
 			b.WriteByte('\n')
 		}
 	}
-	c.legend(&b, w)
+	c.legend(&b)
 	b.WriteString("</svg>\n")
 	return b.String()
 }
@@ -184,12 +175,9 @@ func (c *Chart) LineSVG() string {
 // BarSVG renders the chart as grouped bars over categorical x
 // (Categories); each series contributes one bar per category.
 func (c *Chart) BarSVG() string {
-	w, h := c.dims()
 	var b strings.Builder
-	c.header(&b, w, h)
+	c.header(&b)
 	y0, y1 := c.yRange()
-	plotW := float64(w - marginLeft - marginRight)
-	plotH := float64(h - marginTop - marginBottom)
 	py := func(y float64) float64 { return marginTop + plotH - frac(y, y0, y1)*plotH }
 
 	ncat := len(c.Categories)
@@ -204,7 +192,7 @@ func (c *Chart) BarSVG() string {
 		b.WriteString("</svg>\n")
 		return b.String()
 	}
-	c.axes(&b, w, h, 0, 1, y0, y1, false)
+	c.axes(&b, 0, 1, y0, y1, false)
 
 	groupW := plotW / float64(ncat)
 	barW := groupW * 0.8 / float64(len(c.Series))
@@ -223,24 +211,22 @@ func (c *Chart) BarSVG() string {
 	}
 	for i, cat := range c.Categories {
 		fmt.Fprintf(&b, `<text x="%.1f" y="%d" text-anchor="middle" font-size="11">%s</text>`,
-			marginLeft+(float64(i)+0.5)*groupW, h-marginBottom+16, esc(cat))
+			marginLeft+(float64(i)+0.5)*groupW, height-marginBottom+16, esc(cat))
 		b.WriteByte('\n')
 	}
-	c.legend(&b, w)
+	c.legend(&b)
 	b.WriteString("</svg>\n")
 	return b.String()
 }
 
-func (c *Chart) header(b *strings.Builder, w, h int) {
-	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif">`, w, h)
+func (c *Chart) header(b *strings.Builder) {
+	fmt.Fprintf(b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" font-family="sans-serif">`, width, height)
 	b.WriteByte('\n')
 	fmt.Fprintf(b, `<text x="%d" y="16" font-size="13" font-weight="bold">%s</text>`, marginLeft, esc(c.Title))
 	b.WriteByte('\n')
 }
 
-func (c *Chart) axes(b *strings.Builder, w, h int, x0, x1, y0, y1 float64, numericX bool) {
-	plotW := float64(w - marginLeft - marginRight)
-	plotH := float64(h - marginTop - marginBottom)
+func (c *Chart) axes(b *strings.Builder, x0, x1, y0, y1 float64, numericX bool) {
 	// Frame.
 	fmt.Fprintf(b, `<rect x="%d" y="%d" width="%.1f" height="%.1f" fill="none" stroke="#999"/>`,
 		marginLeft, marginTop, plotW, plotH)
@@ -258,19 +244,19 @@ func (c *Chart) axes(b *strings.Builder, w, h int, x0, x1, y0, y1 float64, numer
 		for _, v := range ticks(x0, x1, 6) {
 			x := marginLeft + frac(v, x0, x1)*plotW
 			fmt.Fprintf(b, `<text x="%.1f" y="%d" text-anchor="middle" font-size="11">%s</text>`,
-				x, h-marginBottom+16, fmtTick(v))
+				x, height-marginBottom+16, fmtTick(v))
 			b.WriteByte('\n')
 		}
 	}
 	// Axis labels.
 	fmt.Fprintf(b, `<text x="%.1f" y="%d" text-anchor="middle" font-size="12">%s</text>`,
-		marginLeft+plotW/2, h-8, esc(c.XLabel))
+		marginLeft+plotW/2, height-8, esc(c.XLabel))
 	fmt.Fprintf(b, `<text x="14" y="%.1f" text-anchor="middle" font-size="12" transform="rotate(-90 14 %.1f)">%s</text>`,
 		marginTop+plotH/2, marginTop+plotH/2, esc(c.YLabel))
 	b.WriteByte('\n')
 }
 
-func (c *Chart) legend(b *strings.Builder, w int) {
+func (c *Chart) legend(b *strings.Builder) {
 	x := marginLeft + 8
 	for si, s := range c.Series {
 		color := palette[si%len(palette)]

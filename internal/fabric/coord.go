@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"bce/internal/population"
+	"bce/internal/serve"
 )
 
 // DefaultLeaseTTL is how long a granted shard stays reserved without a
@@ -345,9 +346,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, LeaseReply{Status: StatusDone})
 		return
 	}
-	// Everything is leased out and live: come back later. Half a TTL
-	// keeps waiting workers responsive to expiries without hammering.
-	w.Header().Set("Retry-After", fmt.Sprintf("%g", c.leaseTTL.Seconds()/2))
+	// Everything is leased out and live: come back in a second, the
+	// cadence at which a worker retries an unreachable coordinator, so
+	// a waiting worker hears done within a second of the last report.
+	w.Header().Set("Retry-After", fmt.Sprintf("%g", serve.DefaultRetryAfter.Seconds()))
 	writeJSON(w, http.StatusOK, LeaseReply{Status: StatusWait})
 }
 

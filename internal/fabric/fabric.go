@@ -1,6 +1,6 @@
 // Package fabric is the distributed population-study layer: a
 // crash-tolerant coordinator that leases contiguous scenario shards to
-// worker processes over a small JSON-over-HTTP wire protocol, collects
+// workers over a small JSON-over-HTTP wire protocol, collects
 // their partial aggregates, and merges them into the study a single
 // process would have produced (DESIGN.md §14).
 //
@@ -22,7 +22,7 @@
 // request time, so no timer goroutine exists either), and the worker
 // is a single sequential loop on the caller's goroutine — parallelism
 // inside a shard comes from runner.Batch, across shards from running
-// more worker processes.
+// more workers (goroutines or processes).
 package fabric
 
 import (

@@ -363,13 +363,14 @@ func TestFabricRestartReservesIdleShards(t *testing.T) {
 	}
 }
 
-// Lease arbitration under an injected clock: expiry hands the shard to
-// a new worker, after which the old holder's renewals are refused.
+// Lease arbitration under an injected clock: a second worker waits,
+// expiry hands the shard to it, after which the old holder's renewals
+// are refused.
 func TestFabricLeaseExpiry(t *testing.T) {
 	spec := testSpec(10, 1)
 	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	c, err := NewCoordinator(spec, CoordinatorOptions{
-		LeaseTTL: 30 * time.Second,
+		LeaseTTL: DefaultLeaseTTL,
 		now:      func() time.Time { return clock },
 	})
 	if err != nil {
@@ -386,9 +387,15 @@ func TestFabricLeaseExpiry(t *testing.T) {
 	if err != nil || la.Status != StatusLease {
 		t.Fatalf("a's lease: %+v, %v", la, err)
 	}
-	lb, _, err := wb.lease(ctx)
+	lb, retryAfter, err := wb.lease(ctx)
 	if err != nil || lb.Status != StatusWait {
 		t.Fatalf("b should wait while a holds the only shard: %+v, %v", lb, err)
+	}
+	// At the default TTL, the wait reply asks b back within a second
+	// (lease parses it with serve.ParseRetryAfter), so a waiting worker
+	// hears done within a second of the last report.
+	if retryAfter > time.Second {
+		t.Fatalf("wait reply asks b back after %v, want at most 1s", retryAfter)
 	}
 
 	// A heartbeats: still the holder.
@@ -399,7 +406,7 @@ func TestFabricLeaseExpiry(t *testing.T) {
 
 	// Clock jumps past the TTL: b takes the shard over, and a's next
 	// renewal is refused.
-	clock = clock.Add(31 * time.Second)
+	clock = clock.Add(DefaultLeaseTTL + time.Second)
 	lb, _, err = wb.lease(ctx)
 	if err != nil || lb.Status != StatusLease || lb.Shard != 0 {
 		t.Fatalf("b should win the expired lease: %+v, %v", lb, err)

@@ -40,8 +40,6 @@ type Worker struct {
 	// Dir is where shard checkpoints live (one file per shard). A
 	// worker restarted with the same Dir resumes mid-shard. Required.
 	Dir string
-	// HTTP overrides the transport in tests; nil uses a plain client.
-	HTTP *http.Client
 	// Log, when set, receives one line per lease/progress/report event.
 	Log func(format string, args ...any)
 	// Progress, when set, observes (shard, done, total) after every
@@ -223,11 +221,7 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) (status int
 		return 0, serve.DefaultRetryAfter, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	client := w.HTTP
-	if client == nil {
-		client = &http.Client{}
-	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, serve.DefaultRetryAfter, err
 	}

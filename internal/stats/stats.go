@@ -1,7 +1,7 @@
 // Package stats provides the random processes and summary statistics used
 // by the emulator: seeded RNG streams, truncated-normal and exponential
 // draws for job runtimes and availability periods, lognormal runtime
-// estimate errors, and small accumulators (mean, RMS, exponential decay).
+// estimate errors, and small accumulators (mean, RMS).
 //
 // All randomness in an emulation flows through an *RNG derived from the
 // scenario seed, so runs are reproducible bit-for-bit.
@@ -251,38 +251,6 @@ func (r *RMS) Value() float64 {
 		return 0
 	}
 	return math.Sqrt(r.ss / float64(r.n))
-}
-
-// DecayAvg is an exponentially-decaying accumulator with a configurable
-// half-life, the primitive behind REC (recent estimated credit)
-// accounting. Value decays continuously; Add charges an amount at a
-// given time.
-type DecayAvg struct {
-	HalfLife float64 // seconds; <=0 means no decay
-	value    float64
-	lastT    float64
-}
-
-// DecayTo decays the accumulator to time t without adding anything.
-func (d *DecayAvg) DecayTo(t float64) {
-	if d.HalfLife > 0 && t > d.lastT {
-		d.value *= math.Exp2(-(t - d.lastT) / d.HalfLife)
-	}
-	if t > d.lastT {
-		d.lastT = t
-	}
-}
-
-// Add decays to time t and then adds amount.
-func (d *DecayAvg) Add(t, amount float64) {
-	d.DecayTo(t)
-	d.value += amount
-}
-
-// Value returns the accumulator decayed to time t.
-func (d *DecayAvg) Value(t float64) float64 {
-	d.DecayTo(t)
-	return d.value
 }
 
 // Clamp01 clamps x to [0,1]; figures of merit are defined on that range.

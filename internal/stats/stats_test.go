@@ -137,37 +137,6 @@ func TestRMS(t *testing.T) {
 	}
 }
 
-func TestDecayAvgHalfLife(t *testing.T) {
-	d := DecayAvg{HalfLife: 100}
-	d.Add(0, 8)
-	if v := d.Value(100); math.Abs(v-4) > 1e-12 {
-		t.Fatalf("after one half-life: %v, want 4", v)
-	}
-	if v := d.Value(300); math.Abs(v-1) > 1e-12 {
-		t.Fatalf("after three half-lives: %v, want 1", v)
-	}
-}
-
-func TestDecayAvgNoDecay(t *testing.T) {
-	d := DecayAvg{} // HalfLife 0: plain accumulator
-	d.Add(0, 5)
-	d.Add(1000, 5)
-	if v := d.Value(1e9); v != 10 {
-		t.Fatalf("no-decay accumulator = %v, want 10", v)
-	}
-}
-
-func TestDecayAvgTimeMonotone(t *testing.T) {
-	d := DecayAvg{HalfLife: 50}
-	d.Add(100, 10)
-	// Asking for an earlier time must not rewind the accumulator.
-	v1 := d.Value(100)
-	v2 := d.Value(50)
-	if v1 != v2 {
-		t.Fatalf("Value at earlier time changed accumulator: %v vs %v", v1, v2)
-	}
-}
-
 func TestClamp01(t *testing.T) {
 	cases := []struct{ in, want float64 }{
 		{-1, 0}, {0, 0}, {0.5, 0.5}, {1, 1}, {2, 1}, {math.NaN(), 0},
@@ -176,24 +145,6 @@ func TestClamp01(t *testing.T) {
 		if got := Clamp01(c.in); got != c.want {
 			t.Fatalf("Clamp01(%v) = %v, want %v", c.in, got, c.want)
 		}
-	}
-}
-
-func TestPropertyDecayNonincreasing(t *testing.T) {
-	f := func(amount, dt1, dt2 float64) bool {
-		amount = math.Abs(amount)
-		dt1, dt2 = math.Abs(dt1), math.Abs(dt2)
-		if math.IsNaN(amount) || math.IsInf(amount, 0) || math.IsNaN(dt1) || math.IsNaN(dt2) || math.IsInf(dt1, 0) || math.IsInf(dt2, 0) {
-			return true
-		}
-		d := DecayAvg{HalfLife: 3600}
-		d.Add(0, amount)
-		v1 := d.Value(dt1)
-		v2 := d.Value(dt1 + dt2)
-		return v2 <= v1+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -213,36 +213,10 @@ func (s *Server) apiRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, submitReply{Err: "reading body: " + err.Error()})
 		return
 	}
-	state := strings.TrimSpace(string(body))
-	if state == "" {
-		writeJSON(w, http.StatusBadRequest, submitReply{Err: "no scenario supplied"})
+	scn, _, err := s.upload(string(body), r.URL.Query().Get)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, submitReply{Err: err.Error()})
 		return
-	}
-	scn, perr := parseUpload(state)
-	s.save(state, perr == nil)
-	if perr != nil {
-		writeJSON(w, http.StatusBadRequest, submitReply{Err: perr.Error()})
-		return
-	}
-	q := r.URL.Query()
-	if v, perr := strconv.ParseFloat(q.Get("days"), 64); perr == nil && v > 0 {
-		scn.DurationDays = v
-	}
-	maxDays := s.MaxDays
-	if maxDays <= 0 {
-		maxDays = 30
-	}
-	if scn.DurationDays > maxDays || scn.DurationDays <= 0 {
-		scn.DurationDays = maxDays
-	}
-	if v, perr := strconv.ParseInt(q.Get("seed"), 10, 64); perr == nil {
-		scn.Seed = v
-	}
-	if p := q.Get("sched"); p != "" {
-		scn.Policies.JobSched = p
-	}
-	if p := q.Get("fetch"); p != "" {
-		scn.Policies.JobFetch = p
 	}
 	s.submitJSON(w, serve.Request{Kind: serve.KindRun, Scenario: scn})
 }

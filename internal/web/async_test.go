@@ -163,6 +163,30 @@ func TestFormCacheHit(t *testing.T) {
 	}
 }
 
+// /api/run and the /run form share one upload path: the same body and
+// parameters sent to the API and then to the form build the same
+// request, so the form's run is a cache hit.
+func TestAPIAndFormShareUploadPath(t *testing.T) {
+	s, ts := startedServer(t, nil)
+	resp, body := apiSubmit(t, ts, jsonScenario, "?days=0.25&seed=41&sched=JS-WRR&fetch=JF-HYSTERESIS")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d body %v, want 202", resp.StatusCode, body)
+	}
+	pollDone(t, ts, body["id"].(string))
+
+	form := url.Values{"state": {jsonScenario}, "days": {"0.25"}, "seed": {"41"}, "sched": {"JS-WRR"}, "fetch": {"JF-HYSTERESIS"}}
+	rr := post(t, s.Handler(), form)
+	if rr.Code != 200 {
+		t.Fatalf("form status %d", rr.Code)
+	}
+	if !strings.Contains(rr.Body.String(), cacheNotice) {
+		t.Fatal("the form's run of the API's upload is not a cache hit")
+	}
+	if got := s.Runs(); got != 1 {
+		t.Fatalf("Runs() = %d, want 1", got)
+	}
+}
+
 // A saturated queue sheds with 429 and a Retry-After estimate.
 func TestAPIQueueFullSheds(t *testing.T) {
 	s, ts := startedServer(t, &serve.Config{Batch: runner.Options{Workers: 1}, QueueCap: 1})

@@ -181,10 +181,29 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	state := strings.TrimSpace(r.FormValue("state"))
-	if state == "" {
-		http.Error(w, "no scenario supplied", http.StatusBadRequest)
+	scn, notices, err := s.upload(r.FormValue("state"), r.FormValue)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
+	}
+
+	req := serve.Request{Kind: serve.KindRun, Scenario: scn}
+	if err := req.Validate(); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	s.serveForm(w, r, req, scn.DurationDays > s.syncDays(), "reduce days", notices)
+}
+
+// upload is the one upload path behind the /run form and /api/run. It
+// parses the uploaded scenario (JSON or client_state.xml), saves it,
+// then applies the days (capped at MaxDays), seed, sched and fetch
+// parameters that param returns. The notices name each value it could
+// not use as given; the form shows them and the API drops them.
+func (s *Server) upload(state string, param func(string) string) (*scenario.Scenario, []string, error) {
+	state = strings.TrimSpace(state)
+	if state == "" {
+		return nil, nil, errors.New("no scenario supplied")
 	}
 	scn, err := parseUpload(state)
 	// The stated purpose of saving uploads is debugging volunteer
@@ -192,13 +211,12 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request) {
 	// keeping — so save before rejecting, tagging parse failures.
 	s.save(state, err == nil)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+		return nil, nil, err
 	}
 
 	var notices []string
 	requestedDays := scn.DurationDays
-	if dstr := r.FormValue("days"); dstr != "" {
+	if dstr := param("days"); dstr != "" {
 		if v, perr := strconv.ParseFloat(dstr, 64); perr == nil && v > 0 {
 			scn.DurationDays = v
 			requestedDays = v
@@ -218,22 +236,16 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request) {
 		scn.DurationDays = maxDays
 		notices = append(notices, fmt.Sprintf("requested duration %g is not positive; emulated the %g-day cap instead", requestedDays, maxDays))
 	}
-	if v, perr := strconv.ParseInt(r.FormValue("seed"), 10, 64); perr == nil {
+	if v, perr := strconv.ParseInt(param("seed"), 10, 64); perr == nil {
 		scn.Seed = v
 	}
-	if p := r.FormValue("sched"); p != "" {
+	if p := param("sched"); p != "" {
 		scn.Policies.JobSched = p
 	}
-	if p := r.FormValue("fetch"); p != "" {
+	if p := param("fetch"); p != "" {
 		scn.Policies.JobFetch = p
 	}
-
-	req := serve.Request{Kind: serve.KindRun, Scenario: scn}
-	if err := req.Validate(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.serveForm(w, r, req, scn.DurationDays > s.syncDays(), "reduce days", notices)
+	return scn, notices, nil
 }
 
 // cacheNotice marks a result page served from an earlier identical
