@@ -59,6 +59,12 @@ func BenchmarkRRSimJobHeavyFleet(b *testing.B) { perf.BenchJobHeavyFleet(b) }
 // or a served run pays, over a deck of 64 population-sampled configs.
 func BenchmarkClientNew(b *testing.B) { perf.BenchClientNew(b) }
 
+// BenchmarkStudyCells measures 100 study cells end to end, setup
+// included: the pinned study population's first 20 scenarios under the
+// 5 default combos at 0.02 days, through the batch engine on one
+// worker.
+func BenchmarkStudyCells(b *testing.B) { perf.BenchStudyCells(b) }
+
 // Job-service (internal/serve) wrappers: cache-hit cost, in-process
 // async ticket round-trip, and HTTP submit→poll cycles through the
 // load generator.

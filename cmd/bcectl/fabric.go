@@ -89,20 +89,33 @@ func runShardedStudy(ctx context.Context, p population.Params, shards int, check
 	url := "http://" + ln.Addr().String()
 
 	// Split the batch worker budget across the shard workers; each
-	// still parallelizes within its shard. The first worker to return
-	// stops the rest: it returns nil only on the coordinator's done
-	// reply, so the others need not wait for theirs, and an error means
-	// the study cannot finish.
-	opts = append(slices.Clip(opts), runner.WithWorkers(max(workers/shards, 1)))
+	// still parallelizes within its shard. The shards' batches run at
+	// once, so their per-batch run counters would overwrite each other
+	// on the one progress line: drop them, and print the study's total
+	// after every shard batch instead. The first worker to return stops
+	// the rest: it returns nil only on the coordinator's done reply, so
+	// the others need not wait for theirs, and an error means the study
+	// cannot finish.
+	opts = append(slices.Clip(opts), runner.WithWorkers(max(workers/shards, 1)), runner.WithProgress(nil))
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
 		wg       sync.WaitGroup
 		failOnce sync.Once
 		failed   error
+		printMu  sync.Mutex
 	)
 	for i := range shards {
 		w := newStudyWorker(url, fmt.Sprintf("shard-worker-%d", i), dir, progress)
+		if shardLine := w.Progress; shardLine != nil {
+			w.Progress = func(shard, done, total int) {
+				printMu.Lock()
+				defer printMu.Unlock()
+				shardLine(shard, done, total)
+				s := coord.Status()
+				fmt.Fprintf(os.Stderr, "study: %d/%d scenarios\n", s.ScenariosDone, s.Scenarios)
+			}
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -163,5 +164,60 @@ func TestStudyShardsBitIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("rerun's checkpoint differs from the unsharded one")
+	}
+}
+
+// TestStudyShardsProgressPrintsStudyTotal runs `-progress study -shards
+// 3` with the command's per-batch printer installed, as main installs
+// it, and captures stderr. The shard batches must not print their own
+// run counters; after every shard batch the study's total is printed,
+// never falling, and the last total reads every scenario done. The
+// per-shard lines stay.
+func TestStudyShardsProgressPrintsStudyTotal(t *testing.T) {
+	dir := t.TempDir()
+	f, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	defer func() { os.Stderr = stderr }()
+	args := []string{"-n", "12", "-days", "0.02", "-seed", "5", "-batch", "2", "-shards", "3",
+		"-checkpoint", filepath.Join(dir, "ck.json")}
+	opts := []runner.Option{runner.WithOptions(runner.Options{Workers: 3, Progress: printProgress})}
+	if err := runStudy(context.Background(), args, true, 3, nil, opts); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var totals []int
+	shardLines := 0
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.Contains(line, " runs (") {
+			t.Fatalf("a shard batch printed its own run counter: %q", line)
+		}
+		var done, total int
+		if _, err := fmt.Sscanf(line, "study: %d/%d scenarios", &done, &total); err == nil {
+			if total != 12 {
+				t.Fatalf("study total line %q, want a total of 12", line)
+			}
+			if n := len(totals); n > 0 && done < totals[n-1] {
+				t.Fatalf("study total fell from %d to %d", totals[n-1], done)
+			}
+			totals = append(totals, done)
+		}
+		if strings.HasPrefix(line, "shard-worker-") && strings.HasSuffix(line, " scenarios") {
+			shardLines++
+		}
+	}
+	if len(totals) == 0 || totals[len(totals)-1] != 12 {
+		t.Fatalf("study totals %v, want them to end at 12; stderr:\n%s", totals, out)
+	}
+	if shardLines != len(totals) {
+		t.Fatalf("%d per-shard lines and %d study totals, want one total after each shard batch; stderr:\n%s", shardLines, len(totals), out)
 	}
 }

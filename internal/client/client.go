@@ -572,7 +572,7 @@ func (c *Client) runRRSim() *rrsim.Result {
 	// appending a whole struct literal per job builds a temporary and
 	// copies it, several times the cost on a deep queue.
 	if cap(c.rrJobs) < len(c.tasks) {
-		c.rrJobs = make([]rrsim.Job, len(c.tasks)) //bce:allocok amortized grow of reusable scratch, stops once sized to the queue
+		c.rrJobs = make([]rrsim.Job, max(len(c.tasks), 2*cap(c.rrJobs))) //bce:allocok amortized grow of reusable scratch: capacity at least doubles, so a growing queue reallocates O(log n) times
 	}
 	jobs := c.rrJobs[:cap(c.rrJobs)]
 	n := 0
@@ -589,7 +589,7 @@ func (c *Client) runRRSim() *rrsim.Result {
 	c.rrJobs = jobs
 
 	if cap(c.rrJobPtrs) < len(jobs) {
-		c.rrJobPtrs = make([]*rrsim.Job, len(jobs)) //bce:allocok amortized grow of reusable scratch, stops once sized to the queue
+		c.rrJobPtrs = make([]*rrsim.Job, max(len(jobs), 2*cap(c.rrJobPtrs))) //bce:allocok amortized grow of reusable scratch: capacity at least doubles, so a growing queue reallocates O(log n) times
 	}
 	c.rrJobPtrs = c.rrJobPtrs[:len(jobs)]
 	for i := range c.rrJobPtrs {

@@ -506,3 +506,35 @@ func TestLLFEndToEnd(t *testing.T) {
 		t.Fatalf("JS-LLF wasted %v; laxity scheduling should meet most deadlines", res.Metrics.WastedFraction)
 	}
 }
+
+// runRRSim's job array and pointer slice carry the //bce:allocok reason
+// "amortized grow": a queue that grows one task per pass must
+// reallocate each O(log n) times (⌈log₂ 2000⌉ + 2 here), not at every
+// new maximum.
+func TestRRScratchGrowsGeometrically(t *testing.T) {
+	const queue, maxGrowths = 2000, 13
+	c, err := New(baseConfig(smallQueueHost(4),
+		project.Spec{Name: "p0", Share: 1, Apps: []project.AppSpec{cpuApp(600, 86400)}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobGrowths, ptrGrowths int
+	lastJobs, lastPtrs := cap(c.rrJobs), cap(c.rrJobPtrs)
+	for i := 0; i < queue; i++ {
+		c.tasks = append(c.tasks, &job.Task{
+			Name: "t", Usage: job.Usage{AvgCPUs: 1},
+			Duration: 600, EstDuration: 600, Deadline: 86400, CheckpointPeriod: 60,
+		})
+		c.runRRSim()
+		if n := cap(c.rrJobs); n != lastJobs {
+			jobGrowths, lastJobs = jobGrowths+1, n
+		}
+		if n := cap(c.rrJobPtrs); n != lastPtrs {
+			ptrGrowths, lastPtrs = ptrGrowths+1, n
+		}
+	}
+	if jobGrowths > maxGrowths || ptrGrowths > maxGrowths {
+		t.Fatalf("while the queue grew to %d tasks, rrJobs reallocated %d times and rrJobPtrs %d, want at most %d each",
+			queue, jobGrowths, ptrGrowths, maxGrowths)
+	}
+}

@@ -43,7 +43,8 @@ type Worker struct {
 	// Log, when set, receives one line per lease/progress/report event.
 	Log func(format string, args ...any)
 	// Progress, when set, observes (shard, done, total) after every
-	// folded batch — the CLI's progress meter.
+	// folded batch, once the coordinator has been told — the CLI's
+	// progress meter.
 	Progress func(shard, done, total int)
 	// RunBatch substitutes the execution engine (tests, CI smoke);
 	// nil means the real runner.Batch.
@@ -116,9 +117,6 @@ func (w *Worker) runShard(ctx context.Context, lease LeaseReply, opts ...runner.
 	defer cancel()
 	lost := false
 	p.Progress = func(done, total int) {
-		if w.Progress != nil {
-			w.Progress(lease.Shard, done, total)
-		}
 		status, _, err := w.post(shardCtx, "/v1/progress",
 			ProgressRequest{Worker: w.Name, Shard: lease.Shard, Done: done}, &struct{}{})
 		switch {
@@ -129,6 +127,9 @@ func (w *Worker) runShard(ctx context.Context, lease LeaseReply, opts ...runner.
 		case status == http.StatusConflict:
 			lost = true
 			cancel()
+		}
+		if w.Progress != nil {
+			w.Progress(lease.Shard, done, total)
 		}
 	}
 

@@ -11,6 +11,7 @@ import (
 	"bce/internal/fetch"
 	"bce/internal/host"
 	"bce/internal/job"
+	"bce/internal/population"
 	"bce/internal/rrsim"
 	"bce/internal/runner"
 	"bce/internal/scenario"
@@ -39,6 +40,7 @@ func HotSuite() []Bench {
 		{Name: "rrsim_deep", Doc: "one round-robin simulation pass, 16 CPUs, 1,500 jobs in arrival batches", F: BenchRRSimDeep},
 		{Name: "sched_queue", Doc: "one scheduling pass over the same 1,500 tasks, all endangered", F: BenchSchedQueue},
 		{Name: "client_new", Doc: "client.New over 64 population-sampled 0.02-day configs", F: BenchClientNew},
+		{Name: "study_cells", Doc: "100 study cells (20 pinned-population scenarios × 5 default combos, 0.02 days) through runner.Batch, 1 worker", F: BenchStudyCells},
 	}
 }
 
@@ -464,6 +466,55 @@ func BenchClientNew(b *testing.B) {
 
 // sinkClient keeps BenchClientNew's clients reachable.
 var sinkClient *client.Client
+
+const (
+	// studyCellsSeed is the population seed e2ebench's study workload
+	// pins, so study_cells runs the first cells that workload folds.
+	studyCellsSeed = 20110517
+	// studyCellsScenarios is how many of its scenarios one op runs,
+	// each under every default combo.
+	studyCellsScenarios = 20
+)
+
+// BenchStudyCells measures what a population study pays per cell, setup
+// included: the pinned study population's first 20 scenarios under the
+// 5 default combos at 0.02 days, each cell's config built by its Make,
+// through runner.Batch with one worker. At this size a cell's scratch
+// growth and stream setup are a visible share of its bytes.
+func BenchStudyCells(b *testing.B) {
+	pop := scenario.PopulationParams{DurationDays: 0.02}
+	combos := population.DefaultCombos()
+	specs := make([]runner.Spec, 0, studyCellsScenarios*len(combos))
+	for i := 0; i < studyCellsScenarios; i++ {
+		scn := scenario.Sample(stats.NewRNG(runner.DeriveSeed(studyCellsSeed, i)), pop)
+		for _, c := range combos {
+			specs = append(specs, runner.Spec{
+				Label: fmt.Sprintf("cell-%d/%s", i, c),
+				Make: func() (client.Config, error) {
+					s := *scn
+					s.Policies.JobSched, s.Policies.JobFetch = c.Sched, c.Fetch
+					return s.Config()
+				},
+			})
+		}
+	}
+	//bce:ctxshim a benchmark is a call-tree root; there is no caller context to thread
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results, err := runner.Batch(ctx, specs, runner.WithWorkers(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range results {
+			if r.Err != nil {
+				b.Fatal(r.Err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(specs)*b.N)/b.Elapsed().Seconds(), "cells/s")
+}
 
 // BenchSimEventLoop measures the discrete-event kernel under the
 // client's timer pattern: many periodic chains (availability channels,

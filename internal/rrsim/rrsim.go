@@ -167,12 +167,14 @@ func New() *Simulator { return &Simulator{} }
 func Run(in Input) *Result { return New().Run(in) }
 
 // growFloats returns s resized to n entries, reusing its backing array
-// when possible. Contents are unspecified.
+// when possible and otherwise at least doubling its capacity, so a
+// buffer that follows a growing queue is reallocated O(log n) times.
+// Contents are unspecified.
 //
 //bce:hotpath
 func growFloats(s []float64, n int) []float64 {
 	if cap(s) < n {
-		return make([]float64, n) //bce:allocok amortized grow of a reusable scratch buffer, stops once sized to the workload
+		return make([]float64, n, max(n, 2*cap(s))) //bce:allocok amortized grow of a reusable scratch buffer: capacity at least doubles, so a growing workload reallocates O(log n) times
 	}
 	return s[:n]
 }

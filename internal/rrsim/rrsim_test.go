@@ -479,3 +479,25 @@ func TestPropertyWorkConservation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The per-job rem buffer follows the queue through growFloats, whose
+// //bce:allocok reason is "amortized grow": a queue that grows one job
+// per pass must reallocate it O(log n) times (⌈log₂ 2000⌉ + 2 here),
+// not at every new maximum.
+func TestRemBufferGrowsGeometrically(t *testing.T) {
+	const queue, maxGrowths = 2000, 13
+	s := New()
+	var res Result
+	in := Input{Hardware: cpuHost(4), Shares: []float64{1, 2}, HorizonMin: 3600, HorizonMax: 7200}
+	growths, last := 0, cap(s.rem)
+	for i := 0; i < queue; i++ {
+		in.Jobs = append(in.Jobs, mkJob(i%2, 1, 600, 86400))
+		s.RunInto(&res, in)
+		if c := cap(s.rem); c != last {
+			growths, last = growths+1, c
+		}
+	}
+	if growths > maxGrowths {
+		t.Fatalf("rem reallocated %d times while the queue grew to %d jobs, want at most %d", growths, queue, maxGrowths)
+	}
+}

@@ -153,7 +153,7 @@ type Enforcer struct {
 //bce:scratch
 func (e *Enforcer) Enforce(in Input) Decision {
 	if cap(e.ranks) < 2*len(in.Tasks) {
-		e.ranks = make([]rank, 0, 2*len(in.Tasks)) //bce:allocok amortized grow of reusable scratch, stops once sized to the queue
+		e.ranks = make([]rank, 0, max(2*len(in.Tasks), 2*cap(e.ranks))) //bce:allocok amortized grow of reusable scratch: capacity at least doubles, so a growing queue reallocates O(log n) times
 	}
 	ranks := e.ranks[:0]
 	for _, t := range in.Tasks {

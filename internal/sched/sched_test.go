@@ -319,3 +319,26 @@ func TestLLFName(t *testing.T) {
 		t.Fatal("JS-LLF misdescribed")
 	}
 }
+
+// The rank slab's //bce:allocok reason is "amortized grow": a queue
+// that grows one task per pass must reallocate it O(log n) times
+// (⌈log₂ 2000⌉ + 2 here), not at every new maximum.
+func TestRankSlabGrowsGeometrically(t *testing.T) {
+	const queue, maxGrowths = 2000, 13
+	var e Enforcer
+	in := Input{
+		Policy: JSLocal, Hardware: hwCPU(4),
+		Endangered: noEndangered, Prio: flatPrio, GPUAllowed: true,
+	}
+	growths, last := 0, cap(e.ranks)
+	for i := 0; i < queue; i++ {
+		in.Tasks = append(in.Tasks, cpuTask(i%3, "t"))
+		e.Enforce(in)
+		if c := cap(e.ranks); c != last {
+			growths, last = growths+1, c
+		}
+	}
+	if growths > maxGrowths {
+		t.Fatalf("rank slab reallocated %d times while the queue grew to %d tasks, want at most %d", growths, queue, maxGrowths)
+	}
+}

@@ -18,12 +18,23 @@ package stats
 // earlier), and from draw 335 on both pointers land on entries already
 // seeded. So one counter, seeded, guards the lazy path, and a stream
 // that draws a handful of values seeds a handful of entries.
+//
+// Nor does it hold the 607-word state before it needs it. Draws 1–273
+// read only freshly seeded entries, and the only state they leave for
+// later draws is the word draw k writes at feed index 334−k (draw k+273
+// reads it back as its tap) and the tap entry 607−k, seeded but never
+// written (draw k+334 reads it as its feed). So the first window draws
+// keep their written words in win, and draw window+1 builds vec: the
+// window's words at indices 334−k, the tap entries 607−k recomputed by
+// entry, and every other entry left to the lazy path. A stream that
+// draws at most window values never allocates vec.
 type source struct {
 	tap    int   // index into vec
 	feed   int   // index into vec
 	seeded int   // draws since Seed, up to lazyDraws
 	seed   int64 // the LCG's start state, in [1, 2³¹−2]
-	vec    [rngLen]int64
+	win    [window]int64
+	vec    *[rngLen]int64 // nil until the first draw past the window
 }
 
 const (
@@ -34,6 +45,10 @@ const (
 	// lazyDraws is how many draws after a seed can still touch an
 	// unseeded entry.
 	lazyDraws = rngLen - rngTap
+	// window is how many draws after a seed keep their words in win
+	// instead of vec. Most streams an emulation draws from draw no more
+	// (DESIGN §10.6); it must not exceed rngTap.
+	window = 16
 )
 
 // seedPow[i] is 48271^(21+3i) mod (2³¹−1): the LCG multiplier that
@@ -54,15 +69,9 @@ var seedPow = func() (pow [rngLen]int64) {
 // 64-bit arithmetic for x in [0, 2³¹−1).
 func lcg(x int64) int64 { return x * 48271 % int32max }
 
-// newSource returns a source seeded with seed.
-func newSource(seed int64) *source {
-	s := new(source)
-	s.Seed(seed)
-	return s
-}
-
 // Seed re-seeds the generator, lazily: the counter reset makes the next
-// 334 draws seed what they touch before reading it.
+// window draws fill win, and the 334 after a seed seed what they touch
+// before reading it. A vec already built is reused, not reallocated.
 func (s *source) Seed(seed int64) {
 	s.tap = 0
 	s.feed = rngLen - rngTap
@@ -91,6 +100,15 @@ func (s *source) Uint64() uint64 {
 		s.feed += rngLen
 	}
 	if s.seeded < lazyDraws {
+		if s.seeded < window {
+			x := s.entry(s.feed) + s.entry(s.tap)
+			s.win[s.seeded] = x
+			s.seeded++
+			return uint64(x)
+		}
+		if s.seeded == window {
+			s.build()
+		}
 		s.seeded++
 		s.vec[s.feed] = s.entry(s.feed)
 		if s.seeded <= rngTap {
@@ -100,6 +118,19 @@ func (s *source) Uint64() uint64 {
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
 	return uint64(x)
+}
+
+// build lays the window out in vec, allocating vec on a source's first
+// draw past the window: draw k's word at its feed index 334−k, and its
+// tap entry 607−k seeded, as the lazy path would have left them.
+func (s *source) build() {
+	if s.vec == nil {
+		s.vec = new([rngLen]int64)
+	}
+	for k := 1; k <= window; k++ {
+		s.vec[rngLen-rngTap-k] = s.win[k-1]
+		s.vec[rngLen-k] = s.entry(rngLen - k)
+	}
 }
 
 // entry returns the value math/rand's Seed stores in vec[i].

@@ -33,10 +33,18 @@ func testSeeds() []int64 {
 	return seeds
 }
 
-// drawCounts straddle the lazy path's boundaries: the 273 draws that
-// seed both entries, the 334 after which every entry is seeded, and
-// the 607-word wrap.
-var drawCounts = []int{0, 1, 2, 272, 273, 274, 333, 334, 335, 606, 607, 608, 941, 1500}
+// drawCounts straddle the lazy path's boundaries: the window draws
+// that keep their words out of vec, the 273 draws that seed both
+// entries, the 334 after which every entry is seeded, and the 607-word
+// wrap.
+var drawCounts = []int{0, 1, 2, window - 1, window, window + 1, 272, 273, 274, 333, 334, 335, 606, 607, 608, 941, 1500}
+
+// newSource returns a source seeded with seed.
+func newSource(seed int64) *source {
+	s := new(source)
+	s.Seed(seed)
+	return s
+}
 
 // matchRaw compares n raw draws of s against ref, alternating Uint64
 // and Int63 so both entry points are exercised.
@@ -74,6 +82,77 @@ func TestSourceReseedMatchesMathRand(t *testing.T) {
 			ref.Seed(next)
 			matchRaw(t, next, s, ref, 1300)
 		}
+	}
+}
+
+// At each edge of the window and the lazy path the raw draws are
+// math/rand's, vec exists exactly once a draw has passed the window,
+// and a re-seed at the edge restarts the stream exactly, whether it
+// lands inside the window (vec not yet built) or past it (vec reused).
+func TestSourceWindowEdges(t *testing.T) {
+	edges := []int{window, window + 1, rngTap, rngTap + 1, lazyDraws, lazyDraws + 1, rngLen, rngLen + 1}
+	for _, seed := range edgeSeeds {
+		for _, n := range edges {
+			s, ref := newSource(seed), rand.NewSource(seed).(rand.Source64)
+			matchRaw(t, seed, s, ref, n)
+			if built := s.vec != nil; built != (n > window) {
+				t.Fatalf("seed %d: after %d draws vec built = %v, want %v", seed, n, built, n > window)
+			}
+			cur := seed
+			for _, m := range []int{window, window + 1, rngLen + 1} {
+				cur = seed ^ int64(m)<<20
+				s.Seed(cur)
+				ref.Seed(cur)
+				matchRaw(t, cur, s, ref, m)
+			}
+			matchRaw(t, cur, s, ref, rngLen+lazyDraws)
+		}
+	}
+}
+
+// A stream that draws at most window values allocates only its source
+// (through RNG, its generator): never the 607-word vec, which the next
+// draw builds.
+func TestShortStreamBuildsNoState(t *testing.T) {
+	draw := func(n int) func() {
+		return func() {
+			s := newSource(7)
+			for k := 0; k < n; k++ {
+				s.Uint64()
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, draw(window)); n != 1 {
+		t.Fatalf("a source drawing %d values allocates %v times, want 1 (the source)", window, n)
+	}
+	if n := testing.AllocsPerRun(100, draw(window+1)); n != 2 {
+		t.Fatalf("a source drawing %d values allocates %v times, want 2 (the source and vec)", window+1, n)
+	}
+	s := newSource(7)
+	for k := 0; k <= window; k++ {
+		s.Uint64()
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s.Seed(8)
+		for k := 0; k <= window; k++ {
+			s.Uint64()
+		}
+	}); n != 0 {
+		t.Fatalf("re-seeding a source and drawing past the window again allocates %v times, want 0 (vec is reused)", n)
+	}
+	floats := func(n int) func() {
+		return func() {
+			g := NewRNG(7)
+			for k := 0; k < n; k++ {
+				g.Float64()
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, floats(window)); n != 2 {
+		t.Fatalf("a stream drawing %d values allocates %v times, want 2 (RNG, generator)", window, n)
+	}
+	if n := testing.AllocsPerRun(100, floats(window+1)); n != 3 {
+		t.Fatalf("a stream drawing %d values allocates %v times, want 3 (RNG, generator, vec)", window+1, n)
 	}
 }
 
@@ -170,8 +249,8 @@ func TestRNGMatchesReferenceAcrossForkTrees(t *testing.T) {
 }
 
 // A forked stream that never draws holds no generator: the fork costs
-// the child's small struct, not 607 words of state, while the first
-// draw builds the generator (source and rand.Rand).
+// the child's small struct, while the first draw builds the generator
+// (rand.Rand and source in one allocation).
 func TestForkedStreamAllocatesNoStateUntilDrawn(t *testing.T) {
 	parent := NewRNG(1)
 	var child *RNG
@@ -187,8 +266,8 @@ func TestForkedStreamAllocatesNoStateUntilDrawn(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		child = parent.Fork("avail/compute")
 		child.Float64()
-	}); n != 3 {
-		t.Fatalf("Fork plus a first draw allocates %v times, want 3 (struct, source, rand.Rand)", n)
+	}); n != 2 {
+		t.Fatalf("Fork plus a first draw allocates %v times, want 2 (struct, generator)", n)
 	}
 }
 
@@ -197,6 +276,11 @@ func TestForkedStreamAllocatesNoStateUntilDrawn(t *testing.T) {
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	for i, seed := range edgeSeeds {
 		f.Add(seed, uint16(drawCounts[i%len(drawCounts)]))
+	}
+	for _, seed := range []int64{1, -1, int32max, math.MinInt64} {
+		for _, n := range []int{window - 1, window, window + 1, 2 * window} {
+			f.Add(seed, uint16(n))
+		}
 	}
 	f.Fuzz(func(t *testing.T, seed int64, n uint16) {
 		s, ref := newSource(seed), rand.NewSource(seed).(rand.Source64)

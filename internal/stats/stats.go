@@ -20,7 +20,9 @@ import (
 // A stream draws the same bits as rand.New(rand.NewSource(seed)), but
 // holds only its seed until its first draw: most streams an emulation
 // forks (a project's downtime channel, an always-on availability
-// channel) never draw at all, and then cost one small struct.
+// channel) never draw at all, and then cost one small struct. Most of
+// the rest draw a few values, and a stream that draws no more than the
+// source's short window never builds its 607-word state (see source).
 type RNG struct {
 	seed int64
 	r    *rand.Rand // nil until the first draw
@@ -31,10 +33,22 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{seed: seed}
 }
 
+// generator is a drawing stream's rand.Rand and the source it wraps,
+// in one allocation: gen copies rand.New's result into it, and since
+// rand.New is inlined that result never reaches the heap, so a first
+// draw allocates once (TestForkedStreamAllocatesNoStateUntilDrawn).
+type generator struct {
+	r   rand.Rand
+	src source
+}
+
 // gen returns the stream's generator, building it on the first draw.
 func (g *RNG) gen() *rand.Rand {
 	if g.r == nil {
-		g.r = rand.New(newSource(g.seed))
+		gn := new(generator)
+		gn.src.Seed(g.seed)
+		gn.r = *rand.New(&gn.src)
+		g.r = &gn.r
 	}
 	return g.r
 }
