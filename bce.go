@@ -45,7 +45,6 @@ import (
 	"bce/internal/metrics"
 	"bce/internal/runner"
 	"bce/internal/scenario"
-	"bce/internal/stats"
 	"bce/internal/timeline"
 )
 
@@ -182,12 +181,6 @@ func LoadScenarioFile(path string) (*Scenario, error) { return scenario.LoadFile
 // client_state.xml file (subset), the paper's web-interface workflow.
 func ImportClientState(r io.Reader) (*Scenario, error) {
 	return scenario.ImportClientState(r)
-}
-
-// SampleScenario draws a random scenario from a population model of
-// volunteer hosts (the paper's Monte-Carlo future-work direction).
-func SampleScenario(seed int64) *Scenario {
-	return scenario.Sample(stats.NewRNG(seed), scenario.PopulationParams{})
 }
 
 // MetricNames returns the five figure-of-merit names in report order.

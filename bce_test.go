@@ -74,19 +74,6 @@ func TestScenarioJSONAPI(t *testing.T) {
 	}
 }
 
-func TestSampleScenarioRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("emulation-heavy")
-	}
-	s := SampleScenario(11)
-	s.DurationDays = 0.5 // keep the test fast
-	res, err := Run(s)
-	if err != nil {
-		t.Fatalf("sampled scenario failed: %v", err)
-	}
-	_ = res
-}
-
 func TestMetricNames(t *testing.T) {
 	n := MetricNames()
 	if n[0] != "idle" || n[2] != "share_violation" {

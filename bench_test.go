@@ -65,12 +65,10 @@ func BenchmarkClientNew(b *testing.B) { perf.BenchClientNew(b) }
 // worker.
 func BenchmarkStudyCells(b *testing.B) { perf.BenchStudyCells(b) }
 
-// Job-service (internal/serve) wrappers: cache-hit cost, in-process
-// async ticket round-trip, and HTTP submit→poll cycles through the
-// load generator.
+// Job-service (internal/serve) wrappers: cache-hit cost and the
+// in-process async ticket round-trip.
 func BenchmarkServeCacheHit(b *testing.B)   { perf.BenchServeCacheHit(b) }
 func BenchmarkServeSubmitPoll(b *testing.B) { perf.BenchServeSubmitPoll(b) }
-func BenchmarkServeLoadgen(b *testing.B)    { perf.BenchServeLoadgen(b) }
 
 // BenchmarkRunBatch measures the parallel execution engine on a fixed
 // 16-run workload (one emulated day each) across worker counts. On a

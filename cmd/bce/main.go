@@ -10,7 +10,7 @@
 //
 //	bce [flags] scenario.json
 //	bce -xml client_state.xml -sched JS-GLOBAL -fetch JF-HYSTERESIS
-//	bce -sample 42            # run a randomly sampled scenario
+//	bce DIR/pop-0000042.json  # replay scenario 42 of a study (scengen -out DIR)
 //
 // Flags override the scenario file's policy selections.
 package main
@@ -30,7 +30,6 @@ import (
 func main() {
 	var (
 		xmlIn    = flag.String("xml", "", "import a BOINC client_state.xml instead of a JSON scenario")
-		sample   = flag.Int64("sample", -1, "run a randomly sampled scenario with this seed (ignores input file)")
 		schedP   = flag.String("sched", "", "job scheduling policy: JS-LOCAL, JS-GLOBAL, JS-WRR")
 		fetchP   = flag.String("fetch", "", "job fetch policy: JF-ORIG, JF-HYSTERESIS")
 		halfLife = flag.Float64("rec-half-life", 0, "REC averaging half-life in seconds (JS-GLOBAL)")
@@ -43,7 +42,7 @@ func main() {
 	)
 	flag.Parse()
 
-	s, err := loadScenario(*xmlIn, *sample, flag.Arg(0))
+	s, err := loadScenario(*xmlIn, flag.Arg(0))
 	if err != nil {
 		fatal(err)
 	}
@@ -96,10 +95,8 @@ func main() {
 	}
 }
 
-func loadScenario(xmlPath string, sampleSeed int64, jsonPath string) (*bce.Scenario, error) {
+func loadScenario(xmlPath, jsonPath string) (*bce.Scenario, error) {
 	switch {
-	case sampleSeed >= 0:
-		return bce.SampleScenario(sampleSeed), nil
 	case xmlPath != "":
 		f, err := os.Open(xmlPath)
 		if err != nil {
@@ -110,7 +107,7 @@ func loadScenario(xmlPath string, sampleSeed int64, jsonPath string) (*bce.Scena
 	case jsonPath != "":
 		return bce.LoadScenarioFile(jsonPath)
 	}
-	return nil, fmt.Errorf("usage: bce [flags] scenario.json (or -xml state.xml, or -sample N); see bce -h")
+	return nil, fmt.Errorf("usage: bce [flags] scenario.json (or -xml state.xml); see bce -h")
 }
 
 func printReport(s *bce.Scenario, res *bce.Result) {

@@ -18,7 +18,7 @@ import (
 func runBench(args []string) error {
 	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
 	var (
-		suite     = fs.String("suite", "hot", `benchmarks to run: "hot", "figures", "serve", "study", "all", or comma-separated names`)
+		suite     = fs.String("suite", "hot", `benchmarks to run: "hot", "figures", "serve", "all", or comma-separated names`)
 		out       = fs.String("out", "", "directory to write the fresh BENCH_<stamp>.json ledger into (empty: don't save)")
 		baseline  = fs.String("baseline", "", "baseline for compare/gate: a ledger file, or a directory holding BENCH_*.json (default \".\", newest wins)")
 		benchtime = fs.String("benchtime", "", `per-benchmark budget like go test -benchtime ("2s", "100x"; empty: testing's 1s default)`)

@@ -1,17 +1,17 @@
-// Command scengen samples random scenarios from a population model of
-// volunteer hosts and optionally runs a Monte-Carlo policy study over
-// them — the paper's §6.2 future-work direction ("develop a system,
-// perhaps based on Monte-Carlo sampling, to study policies over the
-// entire population").
+// Command scengen writes or summarises the scenarios of a Monte-Carlo
+// population study — the paper's §6.2 future-work direction
+// ("characterize the actual population of scenarios"). Scenario i of
+// seed s is population.Scenario(s, i, pop), the same host `bcectl
+// study -seed s` folds as its scenario i, so a study member written
+// here replays alone with `bce DIR/pop-NNNNNNN.json`.
 //
 // Usage:
 //
-//	scengen -n 10 -out dir/            write 10 scenario JSON files
-//	scengen -study -n 50               compare policies over 50 samples
+//	scengen -n 10                  summarise the default study's first 10 scenarios
+//	scengen -n 10 -out dir/        write them as dir/pop-0000000.json …
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,76 +24,49 @@ import (
 
 func main() {
 	var (
-		n       = flag.Int("n", 10, "number of scenarios to sample")
-		seed    = flag.Int64("seed", 3, "sampler seed")
-		outDir  = flag.String("out", "", "directory to write scenario JSON files")
-		doStudy = flag.Bool("study", false, "run a Monte-Carlo policy study over the samples")
-		days    = flag.Float64("days", 2, "emulation length per sample in the study")
+		n       = flag.Int("n", 10, "number of scenarios: indices 0..n-1 of the population")
+		seed    = flag.Int64("seed", 1, "population base seed (bcectl study -seed)")
+		outDir  = flag.String("out", "", "directory to write DIR/pop-NNNNNNN.json scenario files into")
+		days    = flag.Float64("days", 1, "emulated duration of each scenario, days (bcectl study -days)")
 		maxProj = flag.Int("max-projects", 20, "cap on attached projects per host")
 	)
 	flag.Parse()
 
-	rng := stats.NewRNG(*seed)
-	params := scenario.PopulationParams{MaxProjects: *maxProj, DurationDays: *days}
-	samples := make([]*scenario.Scenario, *n)
-	for i := range samples {
-		samples[i] = scenario.Sample(rng, params)
+	pop := scenario.PopulationParams{MaxProjects: *maxProj, DurationDays: *days}
+	if *outDir == "" {
+		summarise(*seed, *n, pop)
+		return
 	}
-
-	if *outDir != "" {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+	if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		fatal(err)
+	}
+	for i := 0; i < *n; i++ {
+		s := population.Scenario(*seed, i, pop)
+		path := filepath.Join(*outDir, s.Name+".json")
+		if err := writeScenario(path, s); err != nil {
 			fatal(err)
 		}
-		for i, s := range samples {
-			path := filepath.Join(*outDir, fmt.Sprintf("scenario_%03d.json", i))
-			f, err := os.Create(path)
-			if err != nil {
-				fatal(err)
-			}
-			if err := s.Save(f); err != nil {
-				fatal(err)
-			}
-			f.Close()
-			fmt.Println("wrote", path)
-		}
-	}
-
-	if *doStudy {
-		if err := runStudy(samples); err != nil {
-			fatal(err)
-		}
-	} else if *outDir == "" {
-		// No output requested: print a summary of the population.
-		summarise(samples)
+		fmt.Println("wrote", path)
 	}
 }
 
-// runStudy runs each default policy combination on every sample and
-// reports population means plus paired per-scenario wins, folded by
-// the population study engine over the samples.
-func runStudy(samples []*scenario.Scenario) error {
-	st, err := population.Run(context.Background(), population.Params{
-		Scenarios: len(samples),
-		Source:    func(i int) (*scenario.Scenario, error) { return samples[i], nil },
-	})
+func writeScenario(path string, s *scenario.Scenario) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Monte-Carlo study over %d sampled scenarios\n\n", len(samples))
-	fmt.Print(st.Table())
-	fmt.Println()
-	// Paired wins for the two headline metrics: share violation and
-	// RPCs per job.
-	fmt.Print(st.WinsTable(2))
-	fmt.Println()
-	fmt.Print(st.WinsTable(4))
-	return nil
+	if err := s.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-func summarise(samples []*scenario.Scenario) {
+func summarise(seed int64, n int, pop scenario.PopulationParams) {
 	gpus, sporadic := 0, 0
 	var projects stats.Mean
-	for _, s := range samples {
+	for i := 0; i < n; i++ {
+		s := population.Scenario(seed, i, pop)
 		if s.Host.NGPU > 0 {
 			gpus++
 		}
@@ -102,9 +75,9 @@ func summarise(samples []*scenario.Scenario) {
 		}
 		projects.Add(float64(len(s.Projects)))
 	}
-	fmt.Printf("sampled %d scenarios: %d with GPUs, %d with sporadic availability, %.1f projects/host mean\n",
-		len(samples), gpus, sporadic, projects.Mean())
-	fmt.Println("use -out DIR to write them, -study to run the Monte-Carlo policy study")
+	fmt.Printf("sampled %d scenarios of seed %d: %d with GPUs, %d with sporadic availability, %.1f projects/host mean\n",
+		n, seed, gpus, sporadic, projects.Mean())
+	fmt.Println("use -out DIR to write them; bcectl study compares policies over them")
 }
 
 func fatal(err error) {

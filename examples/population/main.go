@@ -1,57 +1,47 @@
 // population demonstrates the Monte-Carlo population study (paper
 // §6.2): sample random volunteer hosts from a population model and
 // compare policy combinations across the whole sample rather than on a
-// single scenario.
+// single scenario. population.Run folds every (scenario, policy) cell
+// into population means with 95% confidence intervals and paired
+// per-scenario wins; `bcectl study` is the same engine at scale, with
+// checkpoints and shards.
 //
 //	go run ./examples/population
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"bce"
+	"bce/internal/population"
+	"bce/internal/scenario"
 )
 
 const nSamples = 12
 
 func main() {
-	// Draw a small population of random scenarios (hardware,
-	// availability, attached projects and job properties all vary).
-	population := make([]*bce.Scenario, nSamples)
-	for i := range population {
-		population[i] = bce.SampleScenario(int64(100 + i))
-		population[i].DurationDays = 1 // keep the demo quick
+	// Scenarios 0..11 of seed 100: hardware, availability, attached
+	// projects and job properties all vary; one emulated day each
+	// keeps the demo quick.
+	st, err := population.Run(context.Background(), population.Params{
+		Combos: []population.Combo{
+			{Sched: "JS-LOCAL", Fetch: "JF-ORIG"},
+			{Sched: "JS-LOCAL", Fetch: "JF-HYSTERESIS"},
+			{Sched: "JS-GLOBAL", Fetch: "JF-HYSTERESIS"},
+		},
+		Scenarios:  nSamples,
+		Seed:       100,
+		Population: scenario.PopulationParams{DurationDays: 1},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("comparing policies over %d sampled scenarios (1 day each)\n\n", nSamples)
-	fmt.Printf("%-26s %8s %8s %8s %8s %8s\n",
-		"policy", "idle", "wasted", "viol", "mono", "rpc/job")
-
-	for _, combo := range [][2]string{
-		{"JS-LOCAL", "JF-ORIG"},
-		{"JS-LOCAL", "JF-HYSTERESIS"},
-		{"JS-GLOBAL", "JF-HYSTERESIS"},
-	} {
-		var sum [5]float64
-		for _, base := range population {
-			s := *base
-			s.Policies.JobSched = combo[0]
-			s.Policies.JobFetch = combo[1]
-			res, err := bce.Run(&s)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for i, v := range res.Metrics.Values() {
-				sum[i] += v
-			}
-		}
-		fmt.Printf("%-26s", combo[0]+"/"+combo[1])
-		for _, v := range sum {
-			fmt.Printf(" %8.4f", v/nSamples)
-		}
-		fmt.Println()
-	}
-	fmt.Println("\n(population means; see scengen -study for small studies, or")
-	fmt.Println(" bcectl study for large checkpointed ones)")
+	fmt.Print(st.Table())
+	fmt.Println()
+	// RPCs per job: the fetch policy's headline metric (paper §5.4).
+	fmt.Print(st.WinsTable(4))
+	fmt.Println("\n(scengen -seed 100 -n 12 -out DIR writes these scenarios; bce DIR/pop-NNNNNNN.json replays one)")
 }

@@ -17,7 +17,6 @@ import (
 	"bce/internal/scenario"
 	"bce/internal/sched"
 	"bce/internal/sim"
-	"bce/internal/stats"
 )
 
 // sink defeats dead-code elimination in micro-benchmarks.
@@ -62,12 +61,11 @@ func FigureSuite() []Bench {
 // AllSuite returns every declared benchmark, hot paths first.
 func AllSuite() []Bench {
 	all := append(HotSuite(), FigureSuite()...)
-	all = append(all, ServeSuite()...)
-	return append(all, StudySuite()...)
+	return append(all, ServeSuite()...)
 }
 
-// Select resolves a suite spec: "hot", "figures", "serve", "study",
-// "all", or a comma-separated list of benchmark names from AllSuite.
+// Select resolves a suite spec: "hot", "figures", "serve", "all", or a
+// comma-separated list of benchmark names from AllSuite.
 func Select(spec string) ([]Bench, error) {
 	switch spec {
 	case "", "hot":
@@ -76,8 +74,6 @@ func Select(spec string) ([]Bench, error) {
 		return FigureSuite(), nil
 	case "serve":
 		return ServeSuite(), nil
-	case "study":
-		return StudySuite(), nil
 	case "all":
 		return AllSuite(), nil
 	}
@@ -443,7 +439,7 @@ const clientNewDeck = 64
 func BenchClientNew(b *testing.B) {
 	cfgs := make([]client.Config, clientNewDeck)
 	for i := range cfgs {
-		scn := scenario.Sample(stats.NewRNG(runner.DeriveSeed(1, i)), scenario.PopulationParams{DurationDays: 0.02})
+		scn := population.Scenario(1, i, scenario.PopulationParams{DurationDays: 0.02})
 		cfg, err := scn.Config()
 		if err != nil {
 			b.Fatal(err)
@@ -486,7 +482,7 @@ func BenchStudyCells(b *testing.B) {
 	combos := population.DefaultCombos()
 	specs := make([]runner.Spec, 0, studyCellsScenarios*len(combos))
 	for i := 0; i < studyCellsScenarios; i++ {
-		scn := scenario.Sample(stats.NewRNG(runner.DeriveSeed(studyCellsSeed, i)), pop)
+		scn := population.Scenario(studyCellsSeed, i, pop)
 		for _, c := range combos {
 			specs = append(specs, runner.Spec{
 				Label: fmt.Sprintf("cell-%d/%s", i, c),

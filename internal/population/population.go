@@ -4,9 +4,9 @@
 // sampling, to study policies over the entire population") built to the
 // ROADMAP's scale: millions of scenarios, bounded memory.
 //
-// Scenarios are sampled on the fly (scenario i is always drawn from an
-// RNG seeded with DeriveSeed(seed, i), so the population is a pure
-// function of the base seed), sharded across the runner worker pool in
+// Scenarios are sampled on the fly (scenario i is always
+// Scenario(seed, i, pop), so the population is a pure function of the
+// base seed), sharded across the runner worker pool in
 // bounded batches of (combo, scenario) cells, and folded into online
 // aggregates: an exact-sum mean/variance accumulator and a mergeable
 // log-bucket quantile sketch per (combo, figure of merit), plus paired
@@ -79,8 +79,8 @@ type Params struct {
 	// Lo is the index of the first scenario; the run covers
 	// [Lo, Lo+Scenarios). Nonzero only for shards of a larger study.
 	Lo int
-	// Seed is the base seed: scenario i is sampled from an RNG seeded
-	// with DeriveSeed(Seed, i), independent of batching and workers.
+	// Seed is the base seed: the run studies Scenario(Seed, i,
+	// Population) for each i, independent of batching and workers.
 	Seed int64
 	// Population tunes the scenario sampler.
 	Population scenario.PopulationParams
@@ -95,17 +95,14 @@ type Params struct {
 	// writes (default 1).
 	CheckpointEvery int
 
-	// Source overrides the population sampler with a fixed scenario
-	// source: it must return the i-th scenario deterministically. Used
-	// by `scengen -study` to study the scenarios it sampled.
-	Source func(i int) (*scenario.Scenario, error)
 	// Progress, when set, is called after every folded batch with the
 	// number of scenarios completed and the target.
 	Progress func(done, total int)
 
 	// RunBatch substitutes the execution engine; nil means
-	// runner.Batch. Exported so the fabric worker's tests (and the
-	// sharded CI smoke) can inject a deterministic stub engine.
+	// runner.Batch. The population and fabric tests inject
+	// deterministic stub engines through it, and e2ebench wraps
+	// runner.Batch in it to trace each batch.
 	RunBatch func(ctx context.Context, specs []runner.Spec, opts ...runner.Option) ([]runner.RunResult, error)
 }
 
@@ -275,8 +272,7 @@ func run(ctx context.Context, st *Study, p Params, opts ...runner.Option) (*Stud
 		if hi > st.Lo+st.Target {
 			hi = st.Lo + st.Target
 		}
-		specs, errs := batchSpecs(p, lo, hi)
-		results, err := p.RunBatch(ctx, specs, opts...)
+		results, err := p.RunBatch(ctx, batchSpecs(p, lo, hi), opts...)
 		if err != nil {
 			// Canceled (or failed fast) mid-batch: persist the folded
 			// prefix so the run can resume exactly where it stopped.
@@ -285,7 +281,7 @@ func run(ctx context.Context, st *Study, p Params, opts ...runner.Option) (*Stud
 			}
 			return st, err
 		}
-		foldBatch(st, lo, hi, specs, errs, results)
+		foldBatch(st, lo, hi, results)
 		if p.Progress != nil {
 			p.Progress(st.Done, st.Target)
 		}
@@ -304,46 +300,30 @@ func run(ctx context.Context, st *Study, p Params, opts ...runner.Option) (*Stud
 }
 
 // batchSpecs builds the (scenario, combo) cell specs for scenarios
-// [lo,hi), scenario-major. Scenarios that fail to sample or configure
-// are recorded in errs (indexed like specs) and run as no-ops.
-func batchSpecs(p Params, lo, hi int) ([]runner.Spec, []error) {
-	nc := len(p.Combos)
-	specs := make([]runner.Spec, 0, (hi-lo)*nc)
-	errs := make([]error, (hi-lo)*nc)
+// [lo,hi), scenario-major.
+func batchSpecs(p Params, lo, hi int) []runner.Spec {
+	specs := make([]runner.Spec, 0, (hi-lo)*len(p.Combos))
 	for i := lo; i < hi; i++ {
-		scn, err := sampleScenario(p, i)
-		for c := range p.Combos {
-			cell := (i-lo)*nc + c
-			if err != nil {
-				errs[cell] = err
-				err := err
-				specs = append(specs, runner.Spec{
-					Label: fmt.Sprintf("pop-%07d (bad sample)", i),
-					Make:  func() (client.Config, error) { return client.Config{}, err },
-				})
-				continue
-			}
-			combo := p.Combos[c]
-			scn := scn
+		scn := Scenario(p.Seed, i, p.Population)
+		for _, combo := range p.Combos {
 			specs = append(specs, runner.Spec{
 				Label: fmt.Sprintf("%s/%s", scn.Name, combo),
 				Make:  func() (client.Config, error) { return comboConfig(scn, combo) },
 			})
 		}
 	}
-	return specs, errs
+	return specs
 }
 
-// sampleScenario materializes scenario i: from the fixed Source, or
-// drawn from the population model with a per-index derived seed.
-func sampleScenario(p Params, i int) (*scenario.Scenario, error) {
-	if p.Source != nil {
-		return p.Source(i)
-	}
-	rng := stats.NewRNG(runner.DeriveSeed(p.Seed, i))
-	scn := scenario.Sample(rng, p.Population)
+// Scenario is member i of the population of seed: scenario.Sample on
+// an RNG seeded with runner.DeriveSeed(seed, i), named pop-NNNNNNN. It
+// is the one definition of a population member, so a study's scenario
+// i, scengen's pop-NNNNNNN.json and a benchmark deck drawn from the
+// same (seed, pop) are the same host.
+func Scenario(seed int64, i int, pop scenario.PopulationParams) *scenario.Scenario {
+	scn := scenario.Sample(stats.NewRNG(runner.DeriveSeed(seed, i)), pop)
 	scn.Name = fmt.Sprintf("pop-%07d", i)
-	return scn, nil
+	return scn
 }
 
 // comboConfig builds the config for one (scenario, combo) cell; the
@@ -358,24 +338,16 @@ func comboConfig(base *scenario.Scenario, combo Combo) (client.Config, error) {
 // foldBatch folds one batch of results into the aggregates, strictly
 // in scenario order (then combo order), so the accumulated floating-
 // point state is independent of worker scheduling.
-func foldBatch(st *Study, lo, hi int, specs []runner.Spec, errs []error, results []runner.RunResult) {
+func foldBatch(st *Study, lo, hi int, results []runner.RunResult) {
 	nc := len(st.Combos)
 	vals := make([][NumMetrics]float64, nc)
 	failed := make([]bool, nc)
 	for i := lo; i < hi; i++ {
 		for c := 0; c < nc; c++ {
-			cell := (i-lo)*nc + c
-			switch {
-			case errs[cell] != nil:
-				failed[c] = true
-			case results[cell].Err != nil:
-				failed[c] = true
-			default:
-				vals[c] = results[cell].Result.Metrics.Values()
-				failed[c] = false
-			}
-			if failed[c] {
-				vals[c] = [NumMetrics]float64{}
+			r := results[(i-lo)*nc+c]
+			failed[c] = r.Err != nil
+			if !failed[c] {
+				vals[c] = r.Result.Metrics.Values()
 			}
 		}
 		foldScenario(st, vals, failed)

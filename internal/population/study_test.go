@@ -6,27 +6,17 @@ import (
 	"testing"
 
 	"bce/internal/scenario"
-	"bce/internal/stats"
 )
 
-// samplePop draws n half-day scenarios from one RNG stream, the fixed
-// population the checks below read through Params.Source.
-func samplePop(n int) []*scenario.Scenario {
-	rng := stats.NewRNG(9)
-	out := make([]*scenario.Scenario, n)
-	for i := range out {
-		out[i] = scenario.Sample(rng, scenario.PopulationParams{DurationDays: 0.5})
-	}
-	return out
-}
-
-// runSamples studies the combos (DefaultCombos when nil) over samples.
-func runSamples(t *testing.T, samples []*scenario.Scenario, combos []Combo) *Study {
+// runStudy studies the combos (DefaultCombos when nil) over scenarios
+// 0..n-1 of seed 9, half a day each.
+func runStudy(t *testing.T, n int, combos []Combo) *Study {
 	t.Helper()
 	st, err := Run(context.Background(), Params{
-		Combos:    combos,
-		Scenarios: len(samples),
-		Source:    func(i int) (*scenario.Scenario, error) { return samples[i], nil },
+		Combos:     combos,
+		Scenarios:  n,
+		Seed:       9,
+		Population: scenario.PopulationParams{DurationDays: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +28,7 @@ func TestRunDefaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation-heavy")
 	}
-	st := runSamples(t, samplePop(4), nil)
+	st := runStudy(t, 4, nil)
 	if len(st.Combos) != len(DefaultCombos()) || st.Done != 4 {
 		t.Fatalf("study shape wrong: %d combos, %d scenarios", len(st.Combos), st.Done)
 	}
@@ -54,14 +44,9 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
-// An empty sample set read through Params.Source is no population.
+// A study of no scenarios is no population.
 func TestRunEmpty(t *testing.T) {
-	var samples []*scenario.Scenario
-	_, err := Run(context.Background(), Params{
-		Scenarios: len(samples),
-		Source:    func(i int) (*scenario.Scenario, error) { return samples[i], nil },
-	})
-	if err == nil {
+	if _, err := Run(context.Background(), Params{}); err == nil {
 		t.Fatal("empty population accepted")
 	}
 }
@@ -74,7 +59,7 @@ func TestPairedWinsIdenticalCombosTie(t *testing.T) {
 		{Sched: "JS-LOCAL", Fetch: "JF-HYSTERESIS"},
 		{Sched: "JS-LOCAL", Fetch: "JF-HYSTERESIS"},
 	}
-	st := runSamples(t, samplePop(3), combos)
+	st := runStudy(t, 3, combos)
 	if a, b, ties := st.PairedWins(0, 0, 1); a != 0 || b != 0 || ties != 3 {
 		t.Fatalf("identical combos: wins %d/%d ties %d, want all ties", a, b, ties)
 	}
@@ -90,8 +75,10 @@ func TestPairedWinsDirection(t *testing.T) {
 		{Sched: "JS-LOCAL", Fetch: "JF-HYSTERESIS"},
 		{Sched: "JS-LOCAL", Fetch: "JF-ORIG"},
 	}
-	st := runSamples(t, samplePop(6), combos)
-	if hystWins, origWins, _ := st.PairedWins(4, 0, 1); hystWins <= origWins {
+	st := runStudy(t, 6, combos)
+	hystWins, origWins, ties := st.PairedWins(4, 0, 1)
+	t.Logf("RPCs/job: hysteresis wins %d, orig wins %d, ties %d", hystWins, origWins, ties)
+	if hystWins <= origWins {
 		t.Fatalf("hysteresis RPC wins %d <= orig wins %d", hystWins, origWins)
 	}
 }
@@ -100,7 +87,7 @@ func TestTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("emulation-heavy")
 	}
-	st := runSamples(t, samplePop(2), []Combo{
+	st := runStudy(t, 2, []Combo{
 		{Sched: "JS-LOCAL", Fetch: "JF-HYSTERESIS"},
 		{Sched: "JS-GLOBAL", Fetch: "JF-HYSTERESIS"},
 	})
@@ -128,7 +115,7 @@ func TestComboString(t *testing.T) {
 // An unknown policy cannot configure any cell: every one is counted
 // failed rather than aborting the study.
 func TestBadComboFails(t *testing.T) {
-	st := runSamples(t, samplePop(1), []Combo{{Sched: "JS-NOPE", Fetch: "JF-ORIG"}})
+	st := runStudy(t, 1, []Combo{{Sched: "JS-NOPE", Fetch: "JF-ORIG"}})
 	if f := st.Aggs[0].Failed; f != 1 {
 		t.Fatalf("unknown policy: %d failed cells, want 1", f)
 	}

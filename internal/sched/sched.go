@@ -107,12 +107,14 @@ func (d Decision) Contains(t *job.Task) bool {
 }
 
 // rank orders the job list. Lower rank runs earlier in the scan.
+// The fields are ordered so the two small ones share the last word: 32
+// bytes instead of 40, which shrinks the rank slab every client grows.
 type rank struct {
 	task       *job.Task
-	class      int     // 0: running un-checkpointed, 1: endangered GPU, 2: GPU, 3: endangered CPU, 4: CPU
 	key        float64 // within a class, ascending: deadline (or laxity) for endangered classes, negated accounting priority otherwise
-	running    bool    // tie-break: prefer already-running (fewer preemptions)
 	receivedAt float64 // final tie-break: FIFO
+	class      int8    // 0: running un-checkpointed, 1: endangered GPU, 2: GPU, 3: endangered CPU, 4: CPU
+	running    bool    // tie-break: prefer already-running (fewer preemptions)
 }
 
 // lessRank is the job-list order. Negating the priority into key turns

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"testing"
+	"unsafe"
 
 	"bce/internal/host"
 	"bce/internal/job"
@@ -340,5 +341,16 @@ func TestRankSlabGrowsGeometrically(t *testing.T) {
 	}
 	if growths > maxGrowths {
 		t.Fatalf("rank slab reallocated %d times while the queue grew to %d tasks, want at most %d", growths, queue, maxGrowths)
+	}
+}
+
+// rank packs its two small fields into one word: on a 64-bit platform
+// the slab every client grows holds 32-byte ranks, not 40.
+func TestRankPacked(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes pinned for 64-bit platforms")
+	}
+	if s := unsafe.Sizeof(rank{}); s != 32 {
+		t.Fatalf("rank is %d bytes, want 32", s)
 	}
 }
