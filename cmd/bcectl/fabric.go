@@ -28,13 +28,12 @@ import (
 // sharded-study spec.
 func specFromParams(p population.Params, shards int) fabric.Spec {
 	return fabric.Spec{
-		Seed:            p.Seed,
-		Combos:          p.Combos,
-		Population:      p.Population,
-		Scenarios:       p.Scenarios,
-		Shards:          shards,
-		BatchSize:       p.BatchSize,
-		CheckpointEvery: p.CheckpointEvery,
+		Seed:       p.Seed,
+		Combos:     p.Combos,
+		Population: p.Population,
+		Scenarios:  p.Scenarios,
+		Shards:     shards,
+		BatchSize:  p.BatchSize,
 	}
 }
 

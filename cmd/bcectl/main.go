@@ -172,10 +172,10 @@ func usage() {
                                    (param: min_queue_hours, max_queue_hours,
                                     rec_half_life, duration_days)
   bcectl [flags] study [study flags]
-                                   streaming population study with
-                                   checkpoint/resume (study -h for flags);
-                                   -shards N folds it as N shards, each
-                                   resumable on its own
+                                   streaming population study; rerun it
+                                   on its -checkpoint to resume (study -h
+                                   for flags); -shards N folds it as N
+                                   shards, each resumable on its own
   bcectl study-coord -dir DIR      coordinator for a distributed study:
                                    leases scenario shards to workers,
                                    merges their aggregates
@@ -400,7 +400,11 @@ func runSweep(ctx context.Context, args []string, seeds []int64, csvPath string,
 		fmt.Println()
 	}
 	if chart {
-		fmt.Print(sw.Chart("wasted", 60, 12))
+		xs, ys := sw.Series(base.Name, "wasted")
+		fmt.Print(figureChart(&experiments.Figure{
+			XLabel: param, YLabel: "wasted",
+			Labels: []string{base.Name}, X: xs, Y: map[string][]float64{base.Name: ys},
+		}, 60, 12))
 	}
 	if rep != nil {
 		for _, metric := range []string{"idle", "wasted", "share_violation", "monotony", "rpcs_per_job"} {

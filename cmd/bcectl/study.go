@@ -1,6 +1,7 @@
 // The study subcommand: a streaming Monte-Carlo population study
-// (paper §6.2) with checkpoint/resume, optionally folded as N shards
-// (-shards N) by in-process fabric workers and a loopback coordinator.
+// (paper §6.2) that a rerun on its checkpoint resumes, optionally
+// folded as N shards (-shards N) by in-process fabric workers and a
+// loopback coordinator.
 // Unlike compare/sweep, which keep every run's metrics, study folds
 // each (scenario, policy) cell into constant-size aggregates, so -n
 // can be large.
@@ -27,7 +28,6 @@ type popFlags struct {
 	seed       *int64
 	days       *float64
 	batch      *int
-	every      *int
 	combosFlag *string
 	maxProj    *int
 	gpuFrac    *float64
@@ -40,7 +40,6 @@ func addPopFlags(fs *flag.FlagSet) *popFlags {
 		seed:       fs.Int64("seed", 1, "base seed for the scenario population"),
 		days:       fs.Float64("days", 1, "emulated duration of each scenario, days"),
 		batch:      fs.Int("batch", 0, "scenarios per engine batch (0 = default)"),
-		every:      fs.Int("every", 1, "checkpoint every N batches"),
 		combosFlag: fs.String("combos", "", "comma-separated sched/fetch pairs (default: the paper's matrix)"),
 		maxProj:    fs.Int("max-projects", 0, "cap on projects per scenario (0 = default)"),
 		gpuFrac:    fs.Float64("gpu-frac", -1, "fraction of hosts with a GPU (-1 = default)"),
@@ -58,8 +57,7 @@ func (pf *popFlags) params() (population.Params, error) {
 			DurationDays: *pf.days,
 			MaxProjects:  *pf.maxProj,
 		},
-		BatchSize:       *pf.batch,
-		CheckpointEvery: *pf.every,
+		BatchSize: *pf.batch,
 	}
 	if *pf.gpuFrac >= 0 {
 		p.Population.GPUFraction = scenario.Frac(*pf.gpuFrac)
@@ -77,60 +75,11 @@ func (pf *popFlags) params() (population.Params, error) {
 	return p, nil
 }
 
-// explicitFlags records which flags the user actually typed, so a
-// resume can tell "flag left at its default, adopt the checkpoint"
-// apart from "flag set to something the checkpoint contradicts".
-func explicitFlags(fs *flag.FlagSet) map[string]bool {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	return set
-}
-
-// checkResumeFlags refuses a resume whose explicit flags disagree with
-// the checkpoint (seed, combos, population shape, or a shrunken -n):
-// folding new scenarios under changed parameters would silently mix
-// incompatible aggregates. Flags left at their defaults adopt the
-// checkpoint's values, as Resume always has.
-func checkResumeFlags(path string, p population.Params, explicit map[string]bool) error {
-	ck, err := population.LoadCheckpoint(path)
-	if err != nil {
-		return err
-	}
-	// Map between diff fields and the flags that control them; fields
-	// whose flag was not typed are not disagreements.
-	flagFor := map[string]string{
-		"seed": "seed", "combos": "combos", "days": "days",
-		"max-projects": "max-projects", "gpu-frac": "gpu-frac", "sporadic-frac": "sporadic-frac",
-	}
-	var kept []population.ParamDiff
-	for _, d := range population.DiffParams(ck, p) {
-		if name, ok := flagFor[d.Field]; ok && explicit[name] {
-			kept = append(kept, d)
-		}
-	}
-	if explicit["n"] && p.Scenarios < ck.Target {
-		kept = append(kept, population.ParamDiff{
-			Field: "n", Checkpoint: fmt.Sprint(ck.Target), Want: fmt.Sprint(p.Scenarios),
-		})
-	}
-	if len(kept) == 0 {
-		return nil
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "refusing to resume %s: flags disagree with the checkpoint:\n", path)
-	for _, d := range kept {
-		fmt.Fprintf(&b, "  %s\n", d)
-	}
-	b.WriteString("drop the conflicting flags to continue the checkpointed study, or start fresh without -resume")
-	return fmt.Errorf("%s", b.String())
-}
-
 func runStudy(ctx context.Context, args []string, progress bool, workers int, rep *report.Report, opts []runner.Option) error {
 	fs := flag.NewFlagSet("study", flag.ContinueOnError)
 	pf := addPopFlags(fs)
 	var (
-		checkpoint = fs.String("checkpoint", "", "write an aggregate checkpoint to this file")
-		resume     = fs.String("resume", "", "resume from this checkpoint file (overrides population flags)")
+		checkpoint = fs.String("checkpoint", "", "write an aggregate checkpoint to this file after every batch; a rerun on it resumes the study")
 		shards     = fs.Int("shards", 0, "fold the study as N shards, each checkpointed and resumed on its own (needs -checkpoint)")
 	)
 	fs.Usage = func() {
@@ -140,7 +89,6 @@ func runStudy(ctx context.Context, args []string, progress bool, workers int, re
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	explicit := explicitFlags(fs)
 
 	p, err := pf.params()
 	if err != nil {
@@ -149,9 +97,6 @@ func runStudy(ctx context.Context, args []string, progress bool, workers int, re
 	p.CheckpointPath = *checkpoint
 
 	if *shards > 1 {
-		if *resume != "" {
-			return fmt.Errorf("study -shards manages its own per-shard resume; rerun the same -shards command instead of -resume")
-		}
 		return runShardedStudy(ctx, p, *shards, *checkpoint, progress, workers, rep, opts)
 	}
 
@@ -164,28 +109,11 @@ func runStudy(ctx context.Context, args []string, progress bool, workers int, re
 		}
 	}
 
-	var st *population.Study
-	if *resume != "" {
-		if err := checkResumeFlags(*resume, p, explicit); err != nil {
-			return err
-		}
-		if !explicit["n"] {
-			// Keep the checkpoint's own target: a bare -resume finishes
-			// the interrupted study; only an explicit -n extends it.
-			p.Scenarios = 0
-		}
-		st, err = population.Resume(ctx, *resume, p, opts...)
-	} else {
-		st, err = population.Run(ctx, p, opts...)
-	}
+	st, err := population.Run(ctx, p, opts...)
 	if err != nil {
-		if st != nil && st.Done > 0 && (*checkpoint != "" || *resume != "") {
-			ck := *checkpoint
-			if ck == "" {
-				ck = *resume
-			}
-			fmt.Fprintf(os.Stderr, "study interrupted at %d/%d scenarios; resume with: bcectl study -resume %s\n",
-				st.Done, st.Target, ck)
+		if st != nil && st.Done > 0 && *checkpoint != "" {
+			fmt.Fprintf(os.Stderr, "study interrupted at %d/%d scenarios; rerun the same command to resume\n",
+				st.Done, st.Target)
 		}
 		return err
 	}

@@ -41,14 +41,14 @@ func stubBatch(ctx context.Context, specs []runner.Spec, opts ...runner.Option) 
 	return results, nil
 }
 
-// TestStudyResumeFlagValidation is the regression test for the resume
-// footgun: `study -resume` used to silently adopt the checkpoint while
-// the user's contradictory flags went ignored. Now explicit flags that
-// disagree with the checkpoint are refused with a diff.
-func TestStudyResumeFlagValidation(t *testing.T) {
+// TestStudyRerunResumesOrRefuses: a study rerun on its checkpoint
+// resumes it when every population flag matches and -n covers the
+// checkpoint's scenarios; any other rerun is refused with the
+// difference named, and the checkpoint keeps its bytes.
+func TestStudyRerunResumesOrRefuses(t *testing.T) {
 	ck := filepath.Join(t.TempDir(), "ck.json")
 	// A *completed* 6-scenario study: resuming it runs zero batches, so
-	// the success cases below never touch the real emulation engine.
+	// the resumed case below never touches the real emulation engine.
 	p := population.Params{
 		Combos:         []population.Combo{{Sched: "JS-LOCAL", Fetch: "JF-ORIG"}, {Sched: "JS-WRR", Fetch: "JF-HYSTERESIS"}},
 		Scenarios:      6,
@@ -61,57 +61,62 @@ func TestStudyResumeFlagValidation(t *testing.T) {
 	if _, err := population.Run(context.Background(), p); err != nil {
 		t.Fatalf("building checkpoint fixture: %v", err)
 	}
+	want, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := []string{"-checkpoint", ck, "-n", "6", "-seed", "42", "-days", "1", "-batch", "3",
+		"-combos", "JS-LOCAL/JF-ORIG,JS-WRR/JF-HYSTERESIS"}
 
 	cases := []struct {
 		name    string
-		args    []string
+		args    []string // appended to same; a later flag wins
 		wantErr []string // substrings; empty means success
 	}{
 		{
 			name:    "conflicting seed",
-			args:    []string{"-resume", ck, "-seed", "7"},
-			wantErr: []string{"refusing to resume", "seed: checkpoint has 42, flags say 7"},
+			args:    []string{"-seed", "7"},
+			wantErr: []string{"refusing to resume", ck, "seed: checkpoint has 42, flags say 7"},
 		},
 		{
 			name:    "shrunken n",
-			args:    []string{"-resume", ck, "-n", "3"},
-			wantErr: []string{"refusing to resume", "n: checkpoint has 6, flags say 3"},
+			args:    []string{"-n", "3"},
+			wantErr: []string{"refusing to resume", ck, "covers 6 scenarios", "the 3 asked for"},
 		},
 		{
 			name:    "conflicting days",
-			args:    []string{"-resume", ck, "-days", "2"},
-			wantErr: []string{"refusing to resume", "days"},
+			args:    []string{"-days", "2"},
+			wantErr: []string{"refusing to resume", ck, "days: checkpoint has 1, flags say 2"},
 		},
 		{
 			name:    "conflicting combos",
-			args:    []string{"-resume", ck, "-combos", "JS-LOCAL/JF-ORIG"},
-			wantErr: []string{"refusing to resume", "combos"},
+			args:    []string{"-combos", "JS-LOCAL/JF-ORIG"},
+			wantErr: []string{"refusing to resume", ck, "combos"},
 		},
 		{
-			name: "bare resume adopts the checkpoint",
-			args: []string{"-resume", ck},
-		},
-		{
-			name: "matching explicit flags",
-			args: []string{"-resume", ck, "-seed", "42", "-days", "1", "-n", "6"},
+			name: "same flags",
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := runStudy(context.Background(), tc.args, false, 1, nil, nil)
+			args := append(slices.Clip(same), tc.args...)
+			err := runStudy(context.Background(), args, false, 1, nil, nil)
 			if len(tc.wantErr) == 0 {
 				if err != nil {
-					t.Fatalf("runStudy(%v) = %v, want success", tc.args, err)
+					t.Fatalf("runStudy(%v) = %v, want success", args, err)
 				}
-				return
-			}
-			if err == nil {
-				t.Fatalf("runStudy(%v) succeeded, want refusal", tc.args)
-			}
-			for _, want := range tc.wantErr {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q missing %q", err, want)
+			} else {
+				if err == nil {
+					t.Fatalf("runStudy(%v) succeeded, want refusal", args)
 				}
+				for _, want := range tc.wantErr {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q missing %q", err, want)
+					}
+				}
+			}
+			if got, err := os.ReadFile(ck); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("runStudy(%v) changed the checkpoint (err %v)", args, err)
 			}
 		})
 	}
@@ -122,14 +127,6 @@ func TestStudyShardsNeedsCheckpoint(t *testing.T) {
 	err := runStudy(context.Background(), []string{"-n", "10", "-shards", "2"}, false, 1, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "-checkpoint") {
 		t.Fatalf("sharded study without -checkpoint: err = %v, want a -checkpoint complaint", err)
-	}
-}
-
-// TestStudyShardsRejectsResume pins the -shards/-resume conflict.
-func TestStudyShardsRejectsResume(t *testing.T) {
-	err := runStudy(context.Background(), []string{"-shards", "2", "-checkpoint", "x", "-resume", "y"}, false, 1, nil, nil)
-	if err == nil || !strings.Contains(err.Error(), "per-shard resume") {
-		t.Fatalf("sharded study with -resume: err = %v, want a conflict complaint", err)
 	}
 }
 

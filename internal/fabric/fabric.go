@@ -46,10 +46,9 @@ type Spec struct {
 	// contiguous ranges.
 	Scenarios int `json:"scenarios"`
 	Shards    int `json:"shards"`
-	// BatchSize and CheckpointEvery tune each worker's fold loop; they
-	// affect throughput and checkpoint cadence, never results.
-	BatchSize       int `json:"batch_size,omitempty"`
-	CheckpointEvery int `json:"checkpoint_every,omitempty"`
+	// BatchSize tunes each worker's fold loop; it affects throughput,
+	// never results.
+	BatchSize int `json:"batch_size,omitempty"`
 }
 
 // Validate reports whether the spec describes a runnable study.
@@ -87,12 +86,11 @@ func (s *Spec) Params(i int) (population.Params, error) {
 	}
 	lo, n := s.ShardRange(i)
 	return population.Params{
-		Combos:          s.Combos,
-		Scenarios:       n,
-		Lo:              lo,
-		Seed:            s.Seed,
-		Population:      s.Population,
-		BatchSize:       s.BatchSize,
-		CheckpointEvery: s.CheckpointEvery,
+		Combos:     s.Combos,
+		Scenarios:  n,
+		Lo:         lo,
+		Seed:       s.Seed,
+		Population: s.Population,
+		BatchSize:  s.BatchSize,
 	}, nil
 }

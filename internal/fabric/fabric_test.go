@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -298,6 +299,47 @@ func TestFabricCoordinatorRestart(t *testing.T) {
 	}
 	if asJSON(t, got) != want {
 		t.Fatal("post-restart result differs from single-process fold")
+	}
+}
+
+// A coordinator dir whose spec.json still carries the
+// "checkpoint_every" field older builds wrote restores: the field is
+// gone from Spec, and the spec check compares re-encoded specs.
+func TestFabricRestoresSpecWithCheckpointEvery(t *testing.T) {
+	spec := testSpec(60, 3)
+	dir := t.TempDir()
+	old, err := json.MarshalIndent(struct {
+		Spec
+		CheckpointEvery int `json:"checkpoint_every"`
+	}{spec, 1}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(old), `"checkpoint_every": 1`) {
+		t.Fatalf("setup: spec file %s", old)
+	}
+	if err := os.WriteFile(filepath.Join(dir, specFileName), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := spec.Params(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.RunBatch = stubBatch
+	shard, err := population.Run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := population.SaveCheckpoint(filepath.Join(dir, "shard-001.json"), shard); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := NewCoordinator(spec, CoordinatorOptions{Dir: dir})
+	if err != nil {
+		t.Fatalf("restoring a dir with checkpoint_every in its spec: %v", err)
+	}
+	if st := c.Status(); st.Done != 1 || st.Idle != 2 {
+		t.Fatalf("restored status %+v; want shard 1 done, 2 idle", st)
 	}
 }
 

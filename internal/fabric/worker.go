@@ -2,10 +2,11 @@
 // single-process study engine. Everything crash-tolerance-related is
 // delegated — the shard fold checkpoints through the population
 // package's atomic files, lease arbitration lives in the coordinator —
-// so the worker itself is just a careful HTTP client: it validates
-// local checkpoints against the leased spec before resuming, renews
-// its lease from the fold loop's progress callback, and abandons the
-// shard the moment the coordinator says the lease is gone.
+// so the worker itself is just a careful HTTP client: it folds each
+// leased shard with population.Run on the shard's checkpoint in its
+// dir (which resumes it, or refuses a stale one), renews its lease from
+// the fold loop's progress callback, and abandons the shard the moment
+// the coordinator says the lease is gone.
 package fabric
 
 import (
@@ -133,32 +134,10 @@ func (w *Worker) runShard(ctx context.Context, lease LeaseReply, opts ...runner.
 		}
 	}
 
-	// The fold's error must land in the outer err: a Study returned
-	// beside one is partial, and reporting it is refused as incomplete.
-	var st *population.Study
-	if _, serr := os.Stat(p.CheckpointPath); serr == nil {
-		// A local checkpoint must belong to this exact shard of this
-		// exact study; anything else is stale state from an old run and
-		// folding onto it would poison the aggregates.
-		ck, lerr := population.LoadCheckpoint(p.CheckpointPath)
-		if lerr != nil {
-			return fmt.Errorf("fabric: shard %d has an unreadable checkpoint (delete %s to refold): %w",
-				lease.Shard, p.CheckpointPath, lerr)
-		}
-		if diffs := population.DiffParams(ck, p); len(diffs) != 0 {
-			return fmt.Errorf("fabric: checkpoint %s disagrees with the leased spec: %v (delete it to refold shard %d)",
-				p.CheckpointPath, diffs, lease.Shard)
-		}
-		if ck.Target != p.Scenarios {
-			return fmt.Errorf("fabric: checkpoint %s targets %d scenarios, lease wants %d (delete it to refold shard %d)",
-				p.CheckpointPath, ck.Target, p.Scenarios, lease.Shard)
-		}
-		w.logf("fabric: %s: resuming shard %d at %d/%d", w.Name, lease.Shard, ck.Done, ck.Target)
-		st, err = population.Resume(shardCtx, p.CheckpointPath, p, opts...)
-	} else {
-		w.logf("fabric: %s: folding shard %d [%d,%d)", w.Name, lease.Shard, lease.Lo, lease.Lo+lease.N)
-		st, err = population.Run(shardCtx, p, opts...)
-	}
+	// A checkpoint left in w.Dir by an earlier lease of this shard is
+	// resumed; one from another study is refused, loudly, by Run.
+	w.logf("fabric: %s: folding shard %d [%d,%d)", w.Name, lease.Shard, lease.Lo, lease.Lo+lease.N)
+	st, err := population.Run(shardCtx, p, opts...)
 	if err != nil {
 		if lost {
 			return errLeaseLost

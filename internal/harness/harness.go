@@ -1,7 +1,7 @@
 // Package harness is the emulator's controller (paper §4.3): it runs
 // the emulator repeatedly — across policy variants, across seeds, and
 // across parameter sweeps — and aggregates the figures of merit into
-// tables, CSV, and quick ASCII charts.
+// tables and CSV.
 package harness
 
 import (
@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 
 	"bce/internal/client"
@@ -257,63 +256,4 @@ func (s *SweepResult) CSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Chart renders one metric of a sweep as a crude ASCII line chart, one
-// glyph per variant, good enough to eyeball the paper's figures in a
-// terminal.
-func (s *SweepResult) Chart(metric string, width, height int) string {
-	if len(s.Points) == 0 || width < 8 || height < 3 {
-		return "(no data)\n"
-	}
-	glyphs := []byte{'*', 'o', '+', 'x', '#', '@'}
-	minX, maxX := s.Points[0].X, s.Points[len(s.Points)-1].X
-	var maxY float64
-	for _, pt := range s.Points {
-		for _, v := range s.Variants {
-			if y := pt.Aggs[v].MetricByName(metric); y > maxY {
-				maxY = y
-			}
-		}
-	}
-	if maxY <= 0 {
-		maxY = 1
-	}
-	grid := make([][]byte, height)
-	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", width))
-	}
-	for vi, v := range s.Variants {
-		g := glyphs[vi%len(glyphs)]
-		for _, pt := range s.Points {
-			var col int
-			if maxX > minX {
-				col = int(float64(width-1) * (pt.X - minX) / (maxX - minX))
-			}
-			y := pt.Aggs[v].MetricByName(metric)
-			row := height - 1 - int(float64(height-1)*y/maxY)
-			if row >= 0 && row < height && col >= 0 && col < width {
-				grid[row][col] = g
-			}
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s vs %s (ymax=%.3f)\n", metric, s.Param, maxY)
-	for _, row := range grid {
-		b.WriteByte('|')
-		b.Write(row)
-		b.WriteByte('\n')
-	}
-	b.WriteByte('+')
-	b.WriteString(strings.Repeat("-", width))
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, " x: %.4g .. %.4g   ", minX, maxX)
-	var legend []string
-	for vi, v := range s.Variants {
-		legend = append(legend, fmt.Sprintf("%c=%s", glyphs[vi%len(glyphs)], v))
-	}
-	sort.Strings(legend)
-	b.WriteString(strings.Join(legend, "  "))
-	b.WriteByte('\n')
-	return b.String()
 }

@@ -140,21 +140,6 @@ func TestSweepCSV(t *testing.T) {
 	}
 }
 
-func TestChart(t *testing.T) {
-	mk := func(x float64) []Variant { return []Variant{tinyVariant("v")} }
-	sw, err := Sweep(context.Background(), "p", []float64{1, 2, 3}, mk, Seeds(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	chart := sw.Chart("idle", 40, 10)
-	if !strings.Contains(chart, "idle vs p") || !strings.Contains(chart, "*=v") {
-		t.Fatalf("chart malformed:\n%s", chart)
-	}
-	if empty := (&SweepResult{}).Chart("idle", 40, 10); !strings.Contains(empty, "no data") {
-		t.Fatal("empty chart should say no data")
-	}
-}
-
 // staleVariant reuses one live host across calls — exactly the aliasing
 // bug the fresh-state audit guards against.
 func staleVariant() Variant {

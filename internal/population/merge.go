@@ -57,9 +57,7 @@ func MergeStudies(parts []*Study) (*Study, error) {
 				st.Lo, st.Lo+st.Target, want)
 		}
 		for c := range out.Aggs {
-			if err := out.Aggs[c].merge(&st.Aggs[c]); err != nil {
-				return nil, err
-			}
+			out.Aggs[c].merge(&st.Aggs[c])
 		}
 		for pi := range out.Pairs {
 			if err := out.Pairs[pi].Merge(st.Pairs[pi]); err != nil {
@@ -122,9 +120,9 @@ func (d ParamDiff) String() string {
 // freshly requested parameters and reports every field that disagrees.
 // An empty result means the checkpoint can safely absorb the run;
 // anything else means folding would silently mix incompatible
-// aggregates, and the caller must refuse. Scenario-count policy
-// (extending vs shrinking the target) is the caller's call and is not
-// diffed here.
+// aggregates, and the caller must refuse. Scenario counts are not
+// diffed here: Run extends a checkpoint that covers fewer scenarios
+// than asked and refuses one that covers more.
 func DiffParams(st *Study, p Params) []ParamDiff {
 	var diffs []ParamDiff
 	if st.Seed != p.Seed {

@@ -122,7 +122,7 @@ func TestShardResumeEquivalence(t *testing.T) {
 		t.Fatal("canceled run reported no error")
 	}
 
-	resumed, err := Resume(context.Background(), ck, Params{RunBatch: stubBatch})
+	resumed, err := Run(context.Background(), shardParams(3_000, 2_000, ck))
 	if err != nil {
 		t.Fatal(err)
 	}

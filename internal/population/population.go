@@ -39,7 +39,9 @@ package population
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 
 	"bce/internal/client"
 	"bce/internal/runner"
@@ -74,7 +76,9 @@ const NumMetrics = 5
 type Params struct {
 	// Combos is the policy matrix (DefaultCombos when empty).
 	Combos []Combo
-	// Scenarios is the number of scenarios to evaluate in this run.
+	// Scenarios is the number of scenarios the study covers. A
+	// checkpoint at CheckpointPath that covers fewer is extended to it;
+	// one that covers more is refused (see Run).
 	Scenarios int
 	// Lo is the index of the first scenario; the run covers
 	// [Lo, Lo+Scenarios). Nonzero only for shards of a larger study.
@@ -88,12 +92,9 @@ type Params struct {
 	// engine holds BatchSize×len(Combos) results at peak (default 64).
 	BatchSize int
 	// CheckpointPath, when nonempty, receives an atomically written
-	// JSON checkpoint every CheckpointEvery batches and on
-	// cancellation, enabling bit-identical resume.
+	// JSON checkpoint after every batch and on cancellation. A
+	// checkpoint already there is resumed, bit for bit (see Run).
 	CheckpointPath string
-	// CheckpointEvery is the number of batches between checkpoint
-	// writes (default 1).
-	CheckpointEvery int
 
 	// Progress, when set, is called after every folded batch with the
 	// number of scenarios completed and the target.
@@ -113,9 +114,6 @@ func (p Params) withDefaults() Params {
 	if p.BatchSize <= 0 {
 		p.BatchSize = 64
 	}
-	if p.CheckpointEvery <= 0 {
-		p.CheckpointEvery = 1
-	}
 	if p.RunBatch == nil {
 		p.RunBatch = runner.Batch
 	}
@@ -133,16 +131,13 @@ type ComboAgg struct {
 	Quants [NumMetrics]stats.MergingSketch `json:"quants"`
 }
 
-// merge folds o into a; the sketches must share an accuracy parameter.
-func (a *ComboAgg) merge(o *ComboAgg) error {
+// merge folds o into a.
+func (a *ComboAgg) merge(o *ComboAgg) {
 	a.Failed += o.Failed
 	for m := 0; m < NumMetrics; m++ {
 		a.Mean[m].Merge(&o.Mean[m])
-		if err := a.Quants[m].Merge(&o.Quants[m]); err != nil {
-			return err
-		}
+		a.Quants[m].Merge(&o.Quants[m])
 	}
-	return nil
 }
 
 // PairAgg counts paired per-scenario outcomes between combos A and B
@@ -184,7 +179,7 @@ type Study struct {
 	// Target is the scenario count the run is heading for; Done is how
 	// many have been folded (the next scenario index is Lo+Done). A
 	// checkpoint with Done < Target is a run in flight (killed or still
-	// going); Resume picks up at Done.
+	// going); Run picks up at Done.
 	Target int        `json:"target"`
 	Done   int        `json:"done"`
 	Aggs   []ComboAgg `json:"aggs"`
@@ -218,9 +213,16 @@ func newStudy(p Params) *Study {
 	return st
 }
 
-// Run executes a fresh streaming study. On cancellation it writes a
+// Run executes a streaming study. With no file at CheckpointPath it
+// starts fresh. A checkpoint already there is resumed: Run continues
+// from its Done, towards p.Scenarios, so rerunning an interrupted study
+// with the same Params finishes it, rerunning a finished one folds
+// nothing, and a larger p.Scenarios extends it, bit for bit. Run
+// refuses, without writing the file, a checkpoint that will not load,
+// one that DiffParams finds describes another population, and one that
+// covers more scenarios than p.Scenarios. On cancellation it writes a
 // final checkpoint (when CheckpointPath is set) and returns the partial
-// study alongside the error, so callers can inspect or resume it.
+// study alongside the error.
 func Run(ctx context.Context, p Params, opts ...runner.Option) (*Study, error) {
 	p = p.withDefaults()
 	if p.Scenarios <= 0 {
@@ -229,38 +231,42 @@ func Run(ctx context.Context, p Params, opts ...runner.Option) (*Study, error) {
 	if p.Lo < 0 {
 		return nil, fmt.Errorf("population: negative shard offset %d", p.Lo)
 	}
-	return run(ctx, newStudy(p), p, opts...)
-}
-
-// Resume continues a study from a checkpoint file. The checkpoint's
-// seed, combos and population parameters override p's; p.Scenarios,
-// when larger than the checkpoint's target, extends the run to the new
-// total (0 keeps the original target). The checkpoint is rewritten as
-// the run progresses (to p.CheckpointPath, defaulting to path).
-func Resume(ctx context.Context, path string, p Params, opts ...runner.Option) (*Study, error) {
-	st, err := LoadCheckpoint(path)
+	st, err := startState(p)
 	if err != nil {
 		return nil, err
 	}
-	p = p.withDefaults()
-	p.Seed = st.Seed
-	p.Combos = st.Combos
-	p.Population = st.Population
-	p.Lo = st.Lo
-	if p.CheckpointPath == "" {
-		p.CheckpointPath = path
-	}
-	if p.Scenarios > st.Target {
-		st.Target = p.Scenarios
-	}
-	p.Scenarios = st.Target
 	return run(ctx, st, p, opts...)
 }
 
+// startState is the study Run folds into: a fresh one, or the
+// checkpoint at p.CheckpointPath when it may be resumed under p.
+func startState(p Params) (*Study, error) {
+	if p.CheckpointPath == "" {
+		return newStudy(p), nil
+	}
+	st, err := LoadCheckpoint(p.CheckpointPath)
+	if errors.Is(err, os.ErrNotExist) {
+		return newStudy(p), nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	if diffs := DiffParams(st, p); len(diffs) != 0 {
+		return nil, fmt.Errorf("population: refusing to resume %s: it disagrees with this study: %v; move it aside to start afresh",
+			p.CheckpointPath, diffs)
+	}
+	if st.Target > p.Scenarios {
+		return nil, fmt.Errorf("population: refusing to resume %s: it covers %d scenarios, more than the %d asked for",
+			p.CheckpointPath, st.Target, p.Scenarios)
+	}
+	st.Target = p.Scenarios
+	return st, nil
+}
+
 // run drives the batched sample → emulate → fold loop from st.Done to
-// st.Target (absolute scenario indices st.Lo+st.Done to st.Lo+st.Target).
+// st.Target (absolute scenario indices st.Lo+st.Done to st.Lo+st.Target),
+// checkpointing after every batch.
 func run(ctx context.Context, st *Study, p Params, opts ...runner.Option) (*Study, error) {
-	sinceCheckpoint := 0
 	checkpoint := func() error {
 		if p.CheckpointPath == "" {
 			return nil
@@ -285,16 +291,9 @@ func run(ctx context.Context, st *Study, p Params, opts ...runner.Option) (*Stud
 		if p.Progress != nil {
 			p.Progress(st.Done, st.Target)
 		}
-		sinceCheckpoint++
-		if sinceCheckpoint >= p.CheckpointEvery {
-			if err := checkpoint(); err != nil {
-				return st, err
-			}
-			sinceCheckpoint = 0
+		if err := checkpoint(); err != nil {
+			return st, err
 		}
-	}
-	if err := checkpoint(); err != nil {
-		return st, err
 	}
 	return st, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bce/internal/client"
@@ -87,7 +88,7 @@ func TestResumeEquivalence10k(t *testing.T) {
 		t.Fatalf("interrupted at %d scenarios, want within [5000,10000)", partial.Done)
 	}
 
-	resumed, err := Resume(context.Background(), ck, Params{RunBatch: stubBatch})
+	resumed, err := Run(context.Background(), stubParams(10_000, ck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +100,33 @@ func TestResumeEquivalence10k(t *testing.T) {
 	}
 }
 
-// Resume can also extend a completed study to a larger target, and the
-// result matches running the larger study from scratch.
+// Rerunning a finished study folds nothing and leaves its checkpoint
+// as it was; a larger count extends it, and the result matches running
+// the larger study from scratch.
 func TestResumeExtendsTarget(t *testing.T) {
 	dir := t.TempDir()
 	ck := filepath.Join(dir, "ck.json")
 	if _, err := Run(context.Background(), stubParams(3_000, ck)); err != nil {
 		t.Fatal(err)
 	}
-	extended, err := Resume(context.Background(), ck, Params{Scenarios: 9_000, RunBatch: stubBatch})
+	before, err := os.Stat(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerun := stubParams(3_000, ck)
+	rerun.RunBatch = func(context.Context, []runner.Spec, ...runner.Option) ([]runner.RunResult, error) {
+		t.Error("a rerun of a finished study folded a batch")
+		return nil, errors.New("unexpected batch")
+	}
+	if _, err := Run(context.Background(), rerun); err != nil {
+		t.Fatalf("rerun of the finished study: %v", err)
+	}
+	// SaveCheckpoint renames a new file into place, so a rewrite, even
+	// of the same bytes, is a different file.
+	if after, err := os.Stat(ck); err != nil || !os.SameFile(before, after) {
+		t.Fatalf("rerun of the finished study rewrote its checkpoint (err %v)", err)
+	}
+	extended, err := Run(context.Background(), stubParams(9_000, ck))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +156,9 @@ func TestResumeDifferentBatchSize(t *testing.T) {
 	if _, err := Run(ctx, p); err == nil {
 		t.Fatal("canceled run reported no error")
 	}
-	resumed, err := Resume(context.Background(), ck, Params{BatchSize: 31, RunBatch: stubBatch})
+	p = stubParams(2_500, ck)
+	p.BatchSize = 31
+	resumed, err := Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,8 +237,62 @@ func TestLoadCheckpointRejectsGarbage(t *testing.T) {
 }
 
 func TestRunRejectsZeroScenarios(t *testing.T) {
-	if _, err := Run(context.Background(), Params{RunBatch: stubBatch}); err == nil {
-		t.Fatal("zero-scenario study accepted")
+	st, err := Run(context.Background(), Params{RunBatch: stubBatch})
+	if err == nil || st != nil {
+		t.Fatalf("zero-scenario study accepted: %v, %v", st, err)
+	}
+	if !strings.Contains(err.Error(), "no scenarios") {
+		t.Errorf("error %q does not contain %q", err, "no scenarios")
+	}
+}
+
+// TestRunRefuses covers every study Run refuses to fold. A refused
+// checkpoint is left as it was, not rewritten.
+func TestRunRefuses(t *testing.T) {
+	dir := t.TempDir()
+	ck := filepath.Join(dir, "ck.json")
+	if _, err := Run(context.Background(), stubParams(50, ck)); err != nil {
+		t.Fatal(err)
+	}
+	garbage := filepath.Join(dir, "garbage.json")
+	if err := os.WriteFile(garbage, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	otherSeed := stubParams(50, ck)
+	otherSeed.Seed = 43
+	for _, tc := range []struct {
+		name string
+		p    Params
+		want []string // substrings of the error
+	}{
+		{"negative shard offset", shardParams(-1, 10, ""), []string{"negative shard offset -1"}},
+		{"checkpoint of another seed", otherSeed, []string{ck, "disagrees", "seed: checkpoint has 42, flags say 43"}},
+		{"checkpoint of more scenarios", stubParams(40, ck), []string{ck, "covers 50 scenarios", "the 40 asked for"}},
+		{"checkpoint that will not load", stubParams(50, garbage), []string{garbage}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before os.FileInfo
+			if tc.p.CheckpointPath != "" {
+				var err error
+				if before, err = os.Stat(tc.p.CheckpointPath); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st, err := Run(context.Background(), tc.p)
+			if err == nil || st != nil {
+				t.Fatalf("study accepted: %v, %v", st, err)
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not contain %q", err, want)
+				}
+			}
+			if tc.p.CheckpointPath != "" {
+				if after, err := os.Stat(tc.p.CheckpointPath); err != nil || !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) {
+					t.Fatalf("the refusal rewrote %s (err %v)", tc.p.CheckpointPath, err)
+				}
+			}
+		})
 	}
 }
 
@@ -269,7 +344,7 @@ func TestRealResumeEquivalence(t *testing.T) {
 	if st.Done < 6 || st.Done >= 12 {
 		t.Fatalf("checkpoint at %d scenarios, want within [6,12)", st.Done)
 	}
-	resumed, err := Resume(context.Background(), ck, Params{})
+	resumed, err := Run(context.Background(), realParams(12, ck))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,6 @@ func TestRunDefaults(t *testing.T) {
 	}
 }
 
-// A study of no scenarios is no population.
 func TestRunEmpty(t *testing.T) {
 	if _, err := Run(context.Background(), Params{}); err == nil {
 		t.Fatal("empty population accepted")

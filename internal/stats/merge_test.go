@@ -181,7 +181,7 @@ func TestSketchMergeMatchesSingleFold(t *testing.T) {
 		n := 50 + g.Intn(500)
 		xs := randomSamples(g, n)
 
-		whole := NewMergingSketch(0)
+		whole := MergingSketch{}
 		for _, x := range xs {
 			whole.Add(x)
 		}
@@ -191,18 +191,16 @@ func TestSketchMergeMatchesSingleFold(t *testing.T) {
 		pts := splitPoints(g, n, k)
 		parts := make([]*MergingSketch, k)
 		for i := 0; i < k; i++ {
-			sk := NewMergingSketch(0)
+			sk := MergingSketch{}
 			for _, x := range xs[pts[i]:pts[i+1]] {
 				sk.Add(x)
 			}
 			parts[i] = &sk
 		}
 		perm := g.Perm(k)
-		merged := NewMergingSketch(0)
+		merged := MergingSketch{}
 		for _, pi := range perm {
-			if err := merged.Merge(parts[pi]); err != nil {
-				t.Fatalf("merge: %v", err)
-			}
+			merged.Merge(parts[pi])
 		}
 
 		if got := sketchJSON(t, &merged); got != want {
@@ -222,7 +220,7 @@ func TestSketchAccuracy(t *testing.T) {
 	g := NewRNG(5)
 	const n = 10000
 	xs := make([]float64, n)
-	sk := NewMergingSketch(0)
+	sk := MergingSketch{}
 	for i := range xs {
 		// Positive, spread over several decades, like the day-scale
 		// makespans and unit-scale fractions the study records.
@@ -235,8 +233,8 @@ func TestSketchAccuracy(t *testing.T) {
 		rank := int(math.Ceil(p * n))
 		exact := sorted[rank-1]
 		got := sk.Quantile(p)
-		if rel := math.Abs(got-exact) / exact; rel > DefaultSketchAlpha+1e-9 {
-			t.Errorf("q(%v): got %v, exact %v, relative error %v > %v", p, got, exact, rel, DefaultSketchAlpha)
+		if rel := math.Abs(got-exact) / exact; rel > SketchAlpha+1e-9 {
+			t.Errorf("q(%v): got %v, exact %v, relative error %v > %v", p, got, exact, rel, SketchAlpha)
 		}
 	}
 	if sk.Quantile(0) != sorted[0] {
@@ -250,7 +248,7 @@ func TestSketchAccuracy(t *testing.T) {
 // TestSketchZeroAndNegative: the zero bucket and mirrored negative
 // store keep signed data exact in rank.
 func TestSketchZeroAndNegative(t *testing.T) {
-	sk := NewMergingSketch(0)
+	sk := MergingSketch{}
 	for _, x := range []float64{-4, -2, 0, 0, 1, 3} {
 		sk.Add(x)
 	}
@@ -263,7 +261,7 @@ func TestSketchZeroAndNegative(t *testing.T) {
 	if got := sk.Quantile(1); got != 3 {
 		t.Errorf("q(1) = %v, want 3", got)
 	}
-	if q := sk.Quantile(0.3); q != -2 && (q > -2*(1-DefaultSketchAlpha) || q < -2*(1+DefaultSketchAlpha)) {
+	if q := sk.Quantile(0.3); q != -2 && (q > -2*(1-SketchAlpha) || q < -2*(1+SketchAlpha)) {
 		t.Errorf("q(0.3) = %v, want within alpha of -2", q)
 	}
 }
@@ -273,7 +271,7 @@ func TestSketchZeroAndNegative(t *testing.T) {
 // deep copy — later additions to one side must not leak into the
 // other through a shared bin slice.
 func TestSketchMergeEmpty(t *testing.T) {
-	full := NewMergingSketch(0)
+	full := MergingSketch{}
 	for _, x := range []float64{-3, 0, 0.5, 7} {
 		full.Add(x)
 	}
@@ -282,17 +280,13 @@ func TestSketchMergeEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	empty := NewMergingSketch(0)
-	if err := full.Merge(&empty); err != nil {
-		t.Fatalf("merging an empty sketch in: %v", err)
-	}
+	empty := MergingSketch{}
+	full.Merge(&empty)
 	if after, _ := json.Marshal(&full); string(after) != string(before) {
 		t.Errorf("merge with empty changed the sketch:\n before %s\n after  %s", before, after)
 	}
 
-	if err := empty.Merge(&full); err != nil {
-		t.Fatalf("merging into an empty sketch: %v", err)
-	}
+	empty.Merge(&full)
 	if got, _ := json.Marshal(&empty); string(got) != string(before) {
 		t.Errorf("empty.Merge(full) is not a faithful copy:\n want %s\n got  %s", before, got)
 	}
@@ -306,7 +300,7 @@ func TestSketchMergeEmpty(t *testing.T) {
 // quantile of N identical samples is that sample exactly, because the
 // [Min, Max] clamp collapses the bucket's representative error.
 func TestSketchAllEqual(t *testing.T) {
-	sk := NewMergingSketch(0)
+	sk := MergingSketch{}
 	for i := 0; i < 1000; i++ {
 		sk.Add(42)
 	}
@@ -324,7 +318,7 @@ func TestSketchAllEqual(t *testing.T) {
 // exercises the mirrored store and zero counter on their own — the
 // positive scan must contribute nothing.
 func TestSketchNegativeAndZeroOnly(t *testing.T) {
-	sk := NewMergingSketch(0)
+	sk := MergingSketch{}
 	for _, x := range []float64{-8, -4, -2, -1, 0, 0, 0} {
 		sk.Add(x)
 	}
@@ -335,7 +329,7 @@ func TestSketchNegativeAndZeroOnly(t *testing.T) {
 		t.Errorf("q(1) = %v, want exact max 0", got)
 	}
 	// Rank 4 of 7: the sample -1, accurate to alpha and sign-correct.
-	if got := sk.Quantile(0.5); got >= 0 || math.Abs(got-(-1)) > DefaultSketchAlpha+1e-9 {
+	if got := sk.Quantile(0.5); got >= 0 || math.Abs(got-(-1)) > SketchAlpha+1e-9 {
 		t.Errorf("q(0.5) = %v, want within alpha of -1", got)
 	}
 	// Rank 6 of 7 lands in the zero bucket.
@@ -352,18 +346,15 @@ func TestSketchMultiWayMergeExtremes(t *testing.T) {
 	var all []float64
 	parts := make([]MergingSketch, 5)
 	for i := range parts {
-		parts[i] = NewMergingSketch(0)
 		for j := 0; j < 200; j++ {
 			x := g.Uniform(-50, 50)
 			parts[i].Add(x)
 			all = append(all, x)
 		}
 	}
-	merged := NewMergingSketch(0)
+	merged := MergingSketch{}
 	for i := range parts {
-		if err := merged.Merge(&parts[i]); err != nil {
-			t.Fatalf("merging shard %d: %v", i, err)
-		}
+		merged.Merge(&parts[i])
 	}
 	sort.Float64s(all)
 	if merged.N() != int64(len(all)) {
@@ -374,20 +365,6 @@ func TestSketchMultiWayMergeExtremes(t *testing.T) {
 	}
 	if got := merged.Quantile(1); got != all[len(all)-1] {
 		t.Errorf("q(1) = %v, want exact max %v", got, all[len(all)-1])
-	}
-}
-
-func TestSketchAlphaMismatch(t *testing.T) {
-	a := NewMergingSketch(0.01)
-	b := NewMergingSketch(0.05)
-	a.Add(1)
-	b.Add(2)
-	if err := a.Merge(&b); err == nil {
-		t.Fatal("merging sketches with different alpha should fail")
-	}
-	empty := NewMergingSketch(0.05)
-	if err := a.Merge(&empty); err != nil {
-		t.Fatalf("merging an empty sketch should succeed, got %v", err)
 	}
 }
 

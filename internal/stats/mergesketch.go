@@ -1,17 +1,23 @@
 package stats
 
-import (
-	"fmt"
-	"math"
+import "math"
+
+// SketchAlpha is MergingSketch's relative accuracy α: quantile values
+// are accurate to within 1% of the true sample value at the queried
+// rank.
+const SketchAlpha = 0.01
+
+// sketchGamma is the bucket ratio γ = (1+α)/(1−α) and sketchLnGamma
+// its logarithm, computed once in float64 arithmetic from α's float64
+// value, not as exact constant expressions: the arithmetic that
+// bucketed every sketch already written.
+var (
+	sketchGamma   = func(a float64) float64 { return (1 + a) / (1 - a) }(SketchAlpha)
+	sketchLnGamma = math.Log(sketchGamma)
 )
 
-// DefaultSketchAlpha is the relative-accuracy parameter used by
-// MergingSketch when none is set: quantile values are accurate to
-// within 1% of the true sample value at the queried rank.
-const DefaultSketchAlpha = 0.01
-
 // Bucket indices are clamped to this symmetric range, which covers
-// every normal positive float64 at the default accuracy (|ln x|/ln γ <
+// every normal positive float64 at α = 1% (|ln x|/ln γ <
 // 35,500 for the full double exponent range); only subnormals and
 // values beyond ~1e308 ever hit the clamp.
 const sketchMaxIndex = 36000
@@ -40,11 +46,9 @@ type SketchBin struct {
 // only ordering is preserved. Memory is one bin per occupied bucket:
 // bounded by the spread of the data, not the sample count.
 //
-// The zero value is ready to use and assumes DefaultSketchAlpha. All
-// fields are exported only for JSON checkpointing; mutate through
-// methods.
+// The zero value is ready to use. All fields are exported only for
+// JSON checkpointing; mutate through methods.
 type MergingSketch struct {
-	Alpha float64     `json:"alpha,omitempty"`
 	Count int64       `json:"count"`
 	Zero  int64       `json:"zero,omitempty"`
 	Pos   []SketchBin `json:"pos,omitempty"` // ascending K
@@ -53,30 +57,9 @@ type MergingSketch struct {
 	Max   float64     `json:"max"`           // exact largest sample (0 when empty)
 }
 
-// NewMergingSketch returns an empty sketch with the given relative
-// accuracy; alpha <= 0 selects DefaultSketchAlpha.
-func NewMergingSketch(alpha float64) MergingSketch {
-	if alpha <= 0 {
-		alpha = DefaultSketchAlpha
-	}
-	return MergingSketch{Alpha: alpha}
-}
-
-func (s *MergingSketch) alpha() float64 {
-	if s.Alpha <= 0 {
-		return DefaultSketchAlpha
-	}
-	return s.Alpha
-}
-
-func (s *MergingSketch) gamma() float64 {
-	a := s.alpha()
-	return (1 + a) / (1 - a)
-}
-
 // key maps a positive magnitude to its bucket index.
 func (s *MergingSketch) key(x float64) int32 {
-	k := math.Ceil(math.Log(x) / math.Log(s.gamma()))
+	k := math.Ceil(math.Log(x) / sketchLnGamma)
 	if k > sketchMaxIndex {
 		return sketchMaxIndex
 	}
@@ -90,8 +73,7 @@ func (s *MergingSketch) key(x float64) int32 {
 // relative distance to every point of the bucket (γ^(k−1), γ^k] is at
 // most α.
 func (s *MergingSketch) rep(k int32) float64 {
-	g := s.gamma()
-	return 2 * math.Pow(g, float64(k)) / (g + 1)
+	return 2 * math.Pow(sketchGamma, float64(k)) / (sketchGamma + 1)
 }
 
 //bce:hotpath
@@ -148,15 +130,13 @@ func (s *MergingSketch) N() int64 { return s.Count }
 
 // Merge folds every sample counted by o into s: pointwise bucket
 // addition, so the result is bit-identical to a single sketch that saw
-// both sample streams in any order. The two sketches must share the
-// same accuracy parameter (an empty sketch merges with anything).
-func (s *MergingSketch) Merge(o *MergingSketch) error {
+// both sample streams in any order.
+func (s *MergingSketch) Merge(o *MergingSketch) {
 	if o.Count == 0 {
-		return nil
+		return
 	}
 	if s.Count == 0 {
 		*s = MergingSketch{
-			Alpha: o.Alpha,
 			Count: o.Count,
 			Zero:  o.Zero,
 			Pos:   append([]SketchBin(nil), o.Pos...),
@@ -164,10 +144,7 @@ func (s *MergingSketch) Merge(o *MergingSketch) error {
 			Min:   o.Min,
 			Max:   o.Max,
 		}
-		return nil
-	}
-	if s.alpha() != o.alpha() {
-		return fmt.Errorf("stats: merging sketches with different accuracy (alpha %v vs %v)", s.alpha(), o.alpha())
+		return
 	}
 	if o.Min < s.Min {
 		s.Min = o.Min
@@ -183,7 +160,6 @@ func (s *MergingSketch) Merge(o *MergingSketch) error {
 	for _, b := range o.Neg {
 		s.Neg = addBin(s.Neg, b.K, b.N)
 	}
-	return nil
 }
 
 // Quantile returns an α-accurate estimate of the p-quantile: the
