@@ -1,9 +1,9 @@
-// The distributed-study subcommands. `study -shards N` is the
-// one-machine form: a loopback coordinator and N fabric workers, all
-// in this process. `study-coord` and `study-worker` are the same
-// pieces as separate processes for anything longer-lived — kill and
+// The distributed-study subcommands: `study-coord` leases a study's
+// shards out and merges what its workers report, and `study-worker`
+// folds leased shards, each as its own process on any machine. Kill and
 // restart any of them; the shard checkpoints and the coordinator dir
-// make the study converge to the same bits regardless.
+// make the study converge to the same bits regardless. On one machine,
+// plain `study` is the one way to run a study.
 package main
 
 import (
@@ -14,8 +14,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"slices"
-	"sync"
 	"time"
 
 	"bce/internal/fabric"
@@ -48,110 +46,6 @@ func stderrLog(verbose bool) func(string, ...any) {
 	}
 }
 
-// newStudyWorker builds a fabric worker that logs to stderr and, with
-// progress, prints a per-shard "d/t scenarios" line after every batch.
-func newStudyWorker(coord, name, dir string, progress bool) *fabric.Worker {
-	w := &fabric.Worker{Coord: coord, Name: name, Dir: dir, Log: stderrLog(progress)}
-	if progress {
-		w.Progress = func(shard, done, total int) {
-			fmt.Fprintf(os.Stderr, "%s: shard %d: %d/%d scenarios\n", name, shard, done, total)
-		}
-	}
-	return w
-}
-
-// runShardedStudy is `study -shards N`: a coordinator on a loopback
-// port and N workers as goroutines of this process, merged tables at
-// the end. Each shard's durable state is its worker checkpoint in
-// <checkpoint>.shards/, so the coordinator keeps none: interrupt the
-// study and rerun the same command, and every shard resumes from its
-// checkpoint (a finished one reports at once).
-func runShardedStudy(ctx context.Context, p population.Params, shards int, checkpoint string, progress bool, workers int, rep *report.Report, opts []runner.Option) error {
-	if checkpoint == "" {
-		return fmt.Errorf("study -shards needs -checkpoint: it anchors the merged result and the per-shard state dir")
-	}
-	dir := checkpoint + ".shards"
-	coord, err := fabric.NewCoordinator(specFromParams(p, shards), fabric.CoordinatorOptions{
-		Log: stderrLog(progress),
-	})
-	if err != nil {
-		return err
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	srv := &http.Server{Handler: coord.Handler()}
-	go srv.Serve(ln) //nolint:errcheck // Serve always returns non-nil on Close
-	defer srv.Close()
-	url := "http://" + ln.Addr().String()
-
-	// Split the batch worker budget across the shard workers; each
-	// still parallelizes within its shard. The shards' batches run at
-	// once, so their per-batch run counters would overwrite each other
-	// on the one progress line: drop them, and print the study's total
-	// after every shard batch instead. The first worker to return stops
-	// the rest: it returns nil only on the coordinator's done reply, so
-	// the others need not wait for theirs, and an error means the study
-	// cannot finish.
-	opts = append(slices.Clip(opts), runner.WithWorkers(max(workers/shards, 1)), runner.WithProgress(nil))
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		wg       sync.WaitGroup
-		failOnce sync.Once
-		failed   error
-		printMu  sync.Mutex
-	)
-	for i := range shards {
-		w := newStudyWorker(url, fmt.Sprintf("shard-worker-%d", i), dir, progress)
-		if shardLine := w.Progress; shardLine != nil {
-			w.Progress = func(shard, done, total int) {
-				printMu.Lock()
-				defer printMu.Unlock()
-				shardLine(shard, done, total)
-				s := coord.Status()
-				fmt.Fprintf(os.Stderr, "study: %d/%d scenarios\n", s.ScenariosDone, s.Scenarios)
-			}
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer cancel()
-			if err := w.Run(wctx, opts...); err != nil {
-				failOnce.Do(func() { failed = fmt.Errorf("%s: %w", w.Name, err) })
-			}
-		}()
-	}
-	wg.Wait()
-
-	select {
-	case <-coord.Done():
-	default:
-		if err := ctx.Err(); err != nil {
-			s := coord.Status()
-			fmt.Fprintf(os.Stderr, "sharded study interrupted at %d/%d scenarios; rerun the same command to resume\n",
-				s.ScenariosDone, s.Scenarios)
-			return err
-		}
-		if failed != nil {
-			return failed
-		}
-		return fmt.Errorf("workers exited but the study is incomplete (see %s)", dir)
-	}
-
-	st, err := coord.Result()
-	if err != nil {
-		return err
-	}
-	if err := population.SaveCheckpoint(checkpoint, st); err != nil {
-		return fmt.Errorf("writing merged checkpoint: %w", err)
-	}
-	printStudy(st, rep)
-	return nil
-}
-
 // runStudyCoord is `study-coord`: the coordinator as its own process,
 // serving workers on -addr until every shard reports.
 func runStudyCoord(ctx context.Context, args []string, progress bool, rep *report.Report) error {
@@ -161,7 +55,7 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 		shards     = fs.Int("shards", 2, "number of contiguous scenario shards to lease out")
 		addr       = fs.String("addr", "127.0.0.1:9931", "listen address for workers")
 		dir        = fs.String("dir", "", "state dir for the spec and reported shards (required)")
-		checkpoint = fs.String("checkpoint", "", "also write the merged study to this checkpoint file")
+		checkpoint = fs.String("checkpoint", "", "also write the merged study to this checkpoint file; one of another study is refused")
 		leaseSecs  = fs.Float64("lease-secs", fabric.DefaultLeaseTTL.Seconds(), "lease TTL before a silent worker's shard is re-granted")
 	)
 	fs.Usage = func() {
@@ -176,6 +70,12 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 	}
 	p, err := pf.params()
 	if err != nil {
+		return err
+	}
+	// The merged study replaces -checkpoint only where a `study` rerun
+	// would resume it; refuse another study's before -dir is made.
+	p.CheckpointPath = *checkpoint
+	if _, err := population.StartState(p); err != nil {
 		return err
 	}
 	ttl := time.Duration(*leaseSecs * float64(time.Second))
@@ -264,7 +164,13 @@ func runStudyWorker(ctx context.Context, args []string, progress bool, opts []ru
 	if *coordURL == "" || *dir == "" {
 		return fmt.Errorf("study-worker needs -coord and -dir")
 	}
-	err := newStudyWorker(*coordURL, *name, *dir, progress).Run(ctx, opts...)
+	w := &fabric.Worker{Coord: *coordURL, Name: *name, Dir: *dir, Log: stderrLog(progress)}
+	if progress {
+		w.Progress = func(shard, done, total int) {
+			fmt.Fprintf(os.Stderr, "%s: shard %d: %d/%d scenarios\n", *name, shard, done, total)
+		}
+	}
+	err := w.Run(ctx, opts...)
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(os.Stderr, "%s: interrupted; restart with the same -name and -dir to resume\n", *name)
 	}

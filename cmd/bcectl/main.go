@@ -6,8 +6,7 @@
 //	bcectl compare scenario.json           all policy combinations on one scenario
 //	bcectl sweep   scenario.json           sweep a scenario parameter
 //	bcectl study -n 1000                   streaming Monte-Carlo population study
-//	bcectl study -shards 4 ...             the same study folded as 4 shards in this process
-//	bcectl study-coord / study-worker      distributed study across machines/processes
+//	bcectl study-coord / study-worker      the same study sharded across machines/processes
 //	bcectl bench run|compare|gate          performance ledger (internal/perf)
 //	bcectl loadgen -url http://host:8080   load-test a running bceweb
 //
@@ -109,7 +108,7 @@ func main() {
 	case "sweep":
 		err = runSweep(ctx, flag.Args()[1:], sl, *csv, *chart, rep, opts)
 	case "study":
-		err = runStudy(ctx, flag.Args()[1:], *progress, *workers, rep, opts)
+		err = runStudy(ctx, flag.Args()[1:], *progress, rep, opts)
 	case "study-coord":
 		err = runStudyCoord(ctx, flag.Args()[1:], *progress, rep)
 	case "study-worker":
@@ -174,11 +173,10 @@ func usage() {
   bcectl [flags] study [study flags]
                                    streaming population study; rerun it
                                    on its -checkpoint to resume (study -h
-                                   for flags); -shards N folds it as N
-                                   shards, each resumable on its own
-  bcectl study-coord -dir DIR      coordinator for a distributed study:
-                                   leases scenario shards to workers,
-                                   merges their aggregates
+                                   for flags)
+  bcectl study-coord -dir DIR      coordinator for a study sharded across
+                                   machines: leases scenario shards to
+                                   workers, merges their aggregates
   bcectl [flags] study-worker -coord URL -dir DIR
                                    worker for a distributed study; kill
                                    and restart with the same -name/-dir

@@ -1,7 +1,7 @@
 // The study subcommand: a streaming Monte-Carlo population study
-// (paper §6.2) that a rerun on its checkpoint resumes, optionally
-// folded as N shards (-shards N) by in-process fabric workers and a
-// loopback coordinator.
+// (paper §6.2) that a rerun on its checkpoint resumes. It is the one
+// way to run a study on one machine; study-coord and study-worker
+// (fabric.go) shard one across machines.
 // Unlike compare/sweep, which keep every run's metrics, study folds
 // each (scenario, policy) cell into constant-size aggregates, so -n
 // can be large.
@@ -20,9 +20,9 @@ import (
 	"bce/internal/scenario"
 )
 
-// popFlags is the population-defining flag set shared by study,
-// study-coord and the sharded fan-out: everything that changes *what*
-// is computed (as opposed to where and how fast).
+// popFlags is the population-defining flag set shared by study and
+// study-coord: everything that changes *what* is computed (as opposed
+// to where and how fast).
 type popFlags struct {
 	n          *int
 	seed       *int64
@@ -75,13 +75,10 @@ func (pf *popFlags) params() (population.Params, error) {
 	return p, nil
 }
 
-func runStudy(ctx context.Context, args []string, progress bool, workers int, rep *report.Report, opts []runner.Option) error {
+func runStudy(ctx context.Context, args []string, progress bool, rep *report.Report, opts []runner.Option) error {
 	fs := flag.NewFlagSet("study", flag.ContinueOnError)
 	pf := addPopFlags(fs)
-	var (
-		checkpoint = fs.String("checkpoint", "", "write an aggregate checkpoint to this file after every batch; a rerun on it resumes the study")
-		shards     = fs.Int("shards", 0, "fold the study as N shards, each checkpointed and resumed on its own (needs -checkpoint)")
-	)
+	checkpoint := fs.String("checkpoint", "", "write an aggregate checkpoint to this file after every batch; a rerun on it resumes the study")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: bcectl [flags] study [study flags]")
 		fs.PrintDefaults()
@@ -95,11 +92,6 @@ func runStudy(ctx context.Context, args []string, progress bool, workers int, re
 		return err
 	}
 	p.CheckpointPath = *checkpoint
-
-	if *shards > 1 {
-		return runShardedStudy(ctx, p, *shards, *checkpoint, progress, workers, rep, opts)
-	}
-
 	if progress {
 		p.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rstudy: %d/%d scenarios   ", done, total)
@@ -121,8 +113,8 @@ func runStudy(ctx context.Context, args []string, progress bool, workers int, re
 	return nil
 }
 
-// printStudy renders the finished study's tables (shared by the
-// single-process and sharded paths).
+// printStudy renders the finished study's tables (shared by study and
+// study-coord).
 func printStudy(st *population.Study, rep *report.Report) {
 	fmt.Printf("population study: %d scenarios, seed %d\n\n", st.Done, st.Seed)
 	fmt.Print(st.Table())

@@ -4,7 +4,7 @@
 // single scenario. population.Run folds every (scenario, policy) cell
 // into population means with 95% confidence intervals and paired
 // per-scenario wins; `bcectl study` is the same engine at scale, with
-// checkpoints and shards.
+// checkpoints, and `bcectl study-coord` shards it across machines.
 //
 //	go run ./examples/population
 package main

@@ -54,10 +54,10 @@ type shardState struct {
 
 // CoordinatorOptions tunes a Coordinator.
 type CoordinatorOptions struct {
-	// Dir, when nonempty, is where the coordinator persists its spec
-	// and every reported shard (shard-NNN.json), making it restartable:
-	// a new coordinator pointed at the same dir verifies the spec
-	// matches and adopts already-reported shards.
+	// Dir is where the coordinator persists its spec and every
+	// reported shard (shard-NNN.json), making it restartable: a new
+	// coordinator pointed at the same dir verifies the spec matches and
+	// adopts already-reported shards. Required.
 	Dir string
 	// LeaseTTL overrides DefaultLeaseTTL.
 	LeaseTTL time.Duration
@@ -93,13 +93,16 @@ type Coordinator struct {
 	drained chan struct{}   //bce:guardedby mu — closed once, see Drained
 }
 
-// NewCoordinator builds a coordinator for spec. With a persistence
-// dir, it either records the spec (fresh run) or verifies the recorded
-// spec matches (restart) — a dir from a *different* study is refused
-// loudly — and re-adopts every shard already reported there.
+// NewCoordinator builds a coordinator for spec on opts.Dir. It either
+// records the spec there (fresh run) or verifies the recorded spec
+// matches (restart) — a dir from a *different* study is refused loudly
+// — and re-adopts every shard already reported there.
 func NewCoordinator(spec Spec, opts CoordinatorOptions) (*Coordinator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.Dir == "" {
+		return nil, fmt.Errorf("fabric: coordinator needs a Dir for its spec and reported shards")
 	}
 	c := &Coordinator{
 		spec:     spec,
@@ -121,10 +124,8 @@ func NewCoordinator(spec Spec, opts CoordinatorOptions) (*Coordinator, error) {
 	if c.now == nil {
 		c.now = func() time.Time { return time.Now() } //bce:wallclock lease TTLs expire in real time across real processes
 	}
-	if c.dir != "" {
-		if err := c.restore(); err != nil {
-			return nil, err
-		}
+	if err := c.restore(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -420,11 +421,9 @@ func (c *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("fabric: shard %d reported twice with different aggregates", req.Shard))
 		return
 	}
-	if c.dir != "" {
-		if err := population.SaveCheckpoint(c.shardPath(req.Shard), req.Study); err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
+	if err := population.SaveCheckpoint(c.shardPath(req.Shard), req.Study); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
 	sh.state = shardDone
 	sh.worker = ""

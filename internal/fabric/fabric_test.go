@@ -120,6 +120,14 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// A coordinator keeps its spec and reported shards on disk, so one
+// without a Dir is refused.
+func TestNewCoordinatorNeedsDir(t *testing.T) {
+	if _, err := NewCoordinator(testSpec(10, 2), CoordinatorOptions{}); err == nil || !strings.Contains(err.Error(), "Dir") {
+		t.Fatalf("NewCoordinator without a Dir: %v, want a refusal naming Dir", err)
+	}
+}
+
 // runWorkers drives n workers concurrently against the coordinator URL
 // until each exits, failing the test on any worker error.
 func runWorkers(t *testing.T, ctx context.Context, url, dir string, names ...string) {
@@ -412,6 +420,7 @@ func TestFabricLeaseExpiry(t *testing.T) {
 	spec := testSpec(10, 1)
 	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	c, err := NewCoordinator(spec, CoordinatorOptions{
+		Dir:      t.TempDir(),
 		LeaseTTL: DefaultLeaseTTL,
 		now:      func() time.Time { return clock },
 	})
@@ -465,7 +474,7 @@ func TestFabricLeaseExpiry(t *testing.T) {
 // which the coordinator refuses as incomplete.
 func TestFabricLostLeaseIsNotReported(t *testing.T) {
 	spec := testSpec(40, 1)
-	c, err := NewCoordinator(spec, CoordinatorOptions{LeaseTTL: 30 * time.Second, Log: t.Logf})
+	c, err := NewCoordinator(spec, CoordinatorOptions{Dir: t.TempDir(), LeaseTTL: 30 * time.Second, Log: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,6 +516,7 @@ func TestFabricDrainedAfterEveryDoneReply(t *testing.T) {
 	spec := testSpec(40, 2)
 	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	c, err := NewCoordinator(spec, CoordinatorOptions{
+		Dir:      t.TempDir(),
 		LeaseTTL: 30 * time.Second,
 		now:      func() time.Time { return clock },
 	})
@@ -555,7 +565,7 @@ func TestFabricDrainedAfterEveryDoneReply(t *testing.T) {
 // duplicates are refused; bit-identical duplicates are acknowledged.
 func TestFabricReportValidation(t *testing.T) {
 	spec := testSpec(100, 2)
-	c, err := NewCoordinator(spec, CoordinatorOptions{})
+	c, err := NewCoordinator(spec, CoordinatorOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -618,7 +628,7 @@ func TestFabricReportValidation(t *testing.T) {
 // worker loudly instead of poisoning the shard.
 func TestFabricWorkerRejectsStaleCheckpoint(t *testing.T) {
 	spec := testSpec(100, 2)
-	c, err := NewCoordinator(spec, CoordinatorOptions{})
+	c, err := NewCoordinator(spec, CoordinatorOptions{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

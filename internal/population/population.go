@@ -231,16 +231,21 @@ func Run(ctx context.Context, p Params, opts ...runner.Option) (*Study, error) {
 	if p.Lo < 0 {
 		return nil, fmt.Errorf("population: negative shard offset %d", p.Lo)
 	}
-	st, err := startState(p)
+	st, err := StartState(p)
 	if err != nil {
 		return nil, err
 	}
 	return run(ctx, st, p, opts...)
 }
 
-// startState is the study Run folds into: a fresh one, or the
-// checkpoint at p.CheckpointPath when it may be resumed under p.
-func startState(p Params) (*Study, error) {
+// StartState is the study Run folds into under p: a fresh one, or the
+// checkpoint at p.CheckpointPath when p may resume it. It applies Run's
+// rule (see Run) and writes nothing. A caller that writes a whole
+// study to p.CheckpointPath by other means (the merge of a sharded
+// study) calls it first, so that write replaces only a checkpoint a
+// rerun of the same study would resume.
+func StartState(p Params) (*Study, error) {
+	p = p.withDefaults()
 	if p.CheckpointPath == "" {
 		return newStudy(p), nil
 	}
