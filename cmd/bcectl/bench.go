@@ -8,15 +8,22 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
 	"bce/internal/perf"
 )
 
-func runBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+func (c *cli) bench(args []string) error {
+	fs := c.flagSet("bench", `usage: bcectl bench [bench flags] run|compare|gate [ledger files]
+
+  bench run                    run the suite; save a ledger if -out is set
+  bench compare old new        diff two recorded ledger files
+  bench compare                diff the two newest ledgers in the -baseline dir
+  bench gate                   run the suite fresh and fail on regression
+                               vs the -baseline ledger (file or dir)
+
+bench flags:`)
 	var (
 		suite     = fs.String("suite", "hot", `benchmarks to run: "hot", "figures", "serve", "all", or comma-separated names`)
 		out       = fs.String("out", "", "directory to write the fresh BENCH_<stamp>.json ledger into (empty: don't save)")
@@ -26,24 +33,12 @@ func runBench(args []string) error {
 		allocTh   = fs.Float64("alloc-threshold", perf.DefaultThresholds.Allocs, "allocs/op regression threshold as a fraction; negative disables alloc gating")
 		list      = fs.Bool("list", false, "list the declared benchmarks and exit")
 	)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: bcectl bench [bench flags] run|compare|gate [ledger files]
-
-  bench run                    run the suite; save a ledger if -out is set
-  bench compare old new        diff two recorded ledger files
-  bench compare                diff the two newest ledgers in the -baseline dir
-  bench gate                   run the suite fresh and fail on regression
-                               vs the -baseline ledger (file or dir)
-
-bench flags:`)
-		fs.PrintDefaults()
-	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *list {
 		for _, bn := range perf.AllSuite() {
-			fmt.Printf("%-16s %s\n", bn.Name, bn.Doc)
+			fmt.Fprintf(c.stdout, "%-16s %s\n", bn.Name, bn.Doc)
 		}
 		return nil
 	}
@@ -51,11 +46,11 @@ bench flags:`)
 	verb := fs.Arg(0)
 	switch verb {
 	case "", "run":
-		return benchRun(*suite, *benchtime, *out)
+		return c.benchRun(*suite, *benchtime, *out)
 	case "compare":
-		return benchCompare(fs.Args()[1:], *baseline, th)
+		return c.benchCompare(fs.Args()[1:], *baseline, th)
 	case "gate":
-		return benchGate(*suite, *benchtime, *out, *baseline, th)
+		return c.benchGate(*suite, *benchtime, *out, *baseline, th)
 	default:
 		fs.Usage()
 		return fmt.Errorf("unknown bench verb %q", verb)
@@ -64,15 +59,12 @@ bench flags:`)
 
 // benchRunSuite runs the selected suite into a fresh ledger, saving it
 // when outDir is non-empty.
-func benchRunSuite(suiteSpec, benchtime, outDir string) (*perf.Ledger, error) {
+func (c *cli) benchRunSuite(suiteSpec, benchtime, outDir string) (*perf.Ledger, error) {
 	benches, err := perf.Select(suiteSpec)
 	if err != nil {
 		return nil, err
 	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	entries, err := perf.RunSuite(benches, benchtime, logf)
+	entries, err := perf.RunSuite(benches, benchtime, c.logf)
 	if err != nil {
 		return nil, err
 	}
@@ -83,19 +75,19 @@ func benchRunSuite(suiteSpec, benchtime, outDir string) (*perf.Ledger, error) {
 		if err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "ledger written to %s\n", path)
+		c.logf("ledger written to %s", path)
 	}
 	return l, nil
 }
 
-func benchRun(suiteSpec, benchtime, outDir string) error {
-	l, err := benchRunSuite(suiteSpec, benchtime, outDir)
+func (c *cli) benchRun(suiteSpec, benchtime, outDir string) error {
+	l, err := c.benchRunSuite(suiteSpec, benchtime, outDir)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("suite %s at %s (commit %s, %s %s/%s)\n", l.Suite, l.Stamp, orDash(l.Commit), l.Host.GoVersion, l.Host.OS, l.Host.Arch)
+	fmt.Fprintf(c.stdout, "suite %s at %s (commit %s, %s %s/%s)\n", l.Suite, l.Stamp, orDash(l.Commit), l.Host.GoVersion, l.Host.OS, l.Host.Arch)
 	for _, e := range l.Entries {
-		fmt.Printf("%-16s %12.0f ns/op %8d allocs/op %10d B/op\n", e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
+		fmt.Fprintf(c.stdout, "%-16s %12.0f ns/op %8d allocs/op %10d B/op\n", e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
 	}
 	return nil
 }
@@ -120,7 +112,7 @@ func loadBaseline(spec string) (*perf.Ledger, string, error) {
 	return l, spec, nil
 }
 
-func benchCompare(files []string, baseline string, th perf.Thresholds) error {
+func (c *cli) benchCompare(files []string, baseline string, th perf.Thresholds) error {
 	var base, cur *perf.Ledger
 	switch len(files) {
 	case 2:
@@ -153,22 +145,22 @@ func benchCompare(files []string, baseline string, th perf.Thresholds) error {
 		return fmt.Errorf("compare takes zero or two ledger files, got %d", len(files))
 	}
 	rep := perf.Compare(base, cur, th)
-	fmt.Print(rep.Table())
+	fmt.Fprint(c.stdout, rep.Table())
 	return nil
 }
 
-func benchGate(suiteSpec, benchtime, outDir, baseline string, th perf.Thresholds) error {
+func (c *cli) benchGate(suiteSpec, benchtime, outDir, baseline string, th perf.Thresholds) error {
 	base, basePath, err := loadBaseline(baseline)
 	if err != nil {
 		return err
 	}
-	cur, err := benchRunSuite(suiteSpec, benchtime, outDir)
+	cur, err := c.benchRunSuite(suiteSpec, benchtime, outDir)
 	if err != nil {
 		return err
 	}
 	rep := perf.Compare(base, cur, th)
-	fmt.Printf("gate vs %s\n", basePath)
-	fmt.Print(rep.Table())
+	fmt.Fprintf(c.stdout, "gate vs %s\n", basePath)
+	fmt.Fprint(c.stdout, rep.Table())
 	return rep.Gate()
 }
 

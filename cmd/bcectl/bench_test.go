@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,6 +16,9 @@ import (
 // microseconds, so the test exercises the real `bcectl bench gate`
 // path end to end.
 const gateSuite = "fetch_decide"
+
+// quiet is a bcectl invocation that discards what it prints.
+var quiet = &cli{stdout: io.Discard, stderr: io.Discard}
 
 // writeBaseline records a BENCH file for gateSuite with the given
 // allocs/op and returns its path. Wall time is gated off (Time: -1 in
@@ -43,7 +47,7 @@ func TestBenchGateSyntheticRegression(t *testing.T) {
 	dir := t.TempDir()
 	baseline := writeBaseline(t, dir, 0) // real run allocates > 0: guaranteed regression
 	th := perf.Thresholds{Time: -1, Allocs: 0.10}
-	err := benchGate(gateSuite, "10x", "", baseline, th)
+	err := quiet.benchGate(gateSuite, "10x", "", baseline, th)
 	if err == nil {
 		t.Fatal("gate must fail on an injected allocation regression")
 	}
@@ -57,11 +61,11 @@ func TestBenchGateSyntheticRegression(t *testing.T) {
 // ungated and allocation counts deterministic, the gate must pass.
 func TestBenchGatePassesAgainstHonestBaseline(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := benchRunSuite(gateSuite, "10x", dir); err != nil {
+	if _, err := quiet.benchRunSuite(gateSuite, "10x", dir); err != nil {
 		t.Fatal(err)
 	}
 	th := perf.Thresholds{Time: -1, Allocs: 0.10}
-	if err := benchGate(gateSuite, "10x", "", dir, th); err != nil {
+	if err := quiet.benchGate(gateSuite, "10x", "", dir, th); err != nil {
 		t.Fatalf("gate vs a just-recorded baseline must pass: %v", err)
 	}
 }
@@ -74,7 +78,7 @@ func TestBenchGateRejectsCorruptBaseline(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{broken"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := benchGate(gateSuite, "10x", "", path, perf.Thresholds{Time: -1, Allocs: 0.10})
+	err := quiet.benchGate(gateSuite, "10x", "", path, perf.Thresholds{Time: -1, Allocs: 0.10})
 	if err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("want corrupt-baseline error, got %v", err)
 	}
@@ -84,7 +88,7 @@ func TestBenchGateRejectsCorruptBaseline(t *testing.T) {
 // that round-trips through the loader with the suite's entries.
 func TestBenchRunWritesLedger(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := benchRunSuite(gateSuite, "10x", dir); err != nil {
+	if _, err := quiet.benchRunSuite(gateSuite, "10x", dir); err != nil {
 		t.Fatal(err)
 	}
 	l, _, err := perf.Latest(dir)

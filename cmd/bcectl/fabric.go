@@ -8,18 +8,15 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"time"
 
 	"bce/internal/fabric"
 	"bce/internal/population"
-	"bce/internal/report"
-	"bce/internal/runner"
 )
 
 // specFromParams lifts the single-process study parameters into a
@@ -35,21 +32,16 @@ func specFromParams(p population.Params, shards int) fabric.Spec {
 	}
 }
 
-// stderrLog returns a coordinator/worker log sink on stderr, or a
-// no-op when quiet.
-func stderrLog(verbose bool) func(string, ...any) {
-	if !verbose {
-		return nil
-	}
-	return func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
+// logf writes one line to stderr: the log sink of the fabric's
+// coordinator and workers and of the bench suite.
+func (c *cli) logf(format string, args ...any) {
+	fmt.Fprintf(c.stderr, format+"\n", args...)
 }
 
-// runStudyCoord is `study-coord`: the coordinator as its own process,
+// studyCoord is `study-coord`: the coordinator as its own process,
 // serving workers on -addr until every shard reports.
-func runStudyCoord(ctx context.Context, args []string, progress bool, rep *report.Report) error {
-	fs := flag.NewFlagSet("study-coord", flag.ContinueOnError)
+func (c *cli) studyCoord(ctx context.Context, args []string) error {
+	fs := c.flagSet("study-coord", "usage: bcectl study-coord -dir DIR [flags]")
 	pf := addPopFlags(fs)
 	var (
 		shards     = fs.Int("shards", 2, "number of contiguous scenario shards to lease out")
@@ -58,10 +50,6 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 		checkpoint = fs.String("checkpoint", "", "also write the merged study to this checkpoint file; one of another study is refused")
 		leaseSecs  = fs.Float64("lease-secs", fabric.DefaultLeaseTTL.Seconds(), "lease TTL before a silent worker's shard is re-granted")
 	)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: bcectl study-coord -dir DIR [flags]")
-		fs.PrintDefaults()
-	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -73,10 +61,16 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 		return err
 	}
 	// The merged study replaces -checkpoint only where a `study` rerun
-	// would resume it; refuse another study's before -dir is made.
+	// would resume it; refuse another study's, or one that cannot be
+	// written, before -dir is made and the study folded.
 	p.CheckpointPath = *checkpoint
 	if _, err := population.StartState(p); err != nil {
 		return err
+	}
+	if *checkpoint != "" {
+		if _, err := os.Stat(filepath.Dir(*checkpoint)); err != nil {
+			return fmt.Errorf("cannot write -checkpoint %s: %w", *checkpoint, err)
+		}
 	}
 	ttl := time.Duration(*leaseSecs * float64(time.Second))
 	if ttl <= 0 {
@@ -85,7 +79,7 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 	coord, err := fabric.NewCoordinator(specFromParams(p, *shards), fabric.CoordinatorOptions{
 		Dir:      *dir,
 		LeaseTTL: ttl,
-		Log:      stderrLog(true),
+		Log:      c.logf,
 	})
 	if err != nil {
 		return err
@@ -98,7 +92,7 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 	errCh := make(chan error, 1)
 	serving := time.Now()
 	go func() { errCh <- srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "study-coord: serving %d scenarios in %d shards on http://%s\n",
+	c.logf("study-coord: serving %d scenarios in %d shards on http://%s",
 		p.Scenarios, *shards, ln.Addr())
 
 	select {
@@ -107,7 +101,7 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 		return err
 	case <-ctx.Done():
 		s := coord.Status()
-		fmt.Fprintf(os.Stderr, "study-coord interrupted: %d/%d shards reported; restart with the same -dir to continue\n",
+		c.logf("study-coord interrupted: %d/%d shards reported; restart with the same -dir to continue",
 			s.Done, s.Shards)
 		srv.Close()
 		return ctx.Err()
@@ -130,7 +124,12 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 		}
 	}
 	linger.Stop()
-	srv.Close()
+	// Shut down rather than Close: Drained closes before its handler has
+	// sent the last done reply, and a worker whose reply is cut off
+	// retries the closed port forever.
+	shutdown, cancel := context.WithTimeout(ctx, time.Second)
+	srv.Shutdown(shutdown) //bce:errok past the bound, exiting closes what is left
+	cancel()
 
 	st, err := coord.Result()
 	if err != nil {
@@ -141,38 +140,35 @@ func runStudyCoord(ctx context.Context, args []string, progress bool, rep *repor
 			return fmt.Errorf("writing merged checkpoint: %w", err)
 		}
 	}
-	printStudy(st, rep)
+	c.printStudy(st)
 	return nil
 }
 
-// runStudyWorker is `study-worker`: lease shards from a coordinator
-// and fold them until the study is done.
-func runStudyWorker(ctx context.Context, args []string, progress bool, opts []runner.Option) error {
-	fs := flag.NewFlagSet("study-worker", flag.ContinueOnError)
+// studyWorker is `study-worker`: lease shards from a coordinator and
+// fold them until the study is done.
+func (c *cli) studyWorker(ctx context.Context, args []string) error {
+	fs := c.flagSet("study-worker", "usage: bcectl [flags] study-worker -coord URL -dir DIR [flags]")
 	var (
 		coordURL = fs.String("coord", "", "coordinator base URL, e.g. http://127.0.0.1:9931 (required)")
 		name     = fs.String("name", fmt.Sprintf("worker-%d", os.Getpid()), "worker name; reuse it on restart to reclaim the same shard")
 		dir      = fs.String("dir", "", "local dir for shard checkpoints (required; reuse it on restart to resume mid-shard)")
 	)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: bcectl [flags] study-worker -coord URL -dir DIR [flags]")
-		fs.PrintDefaults()
-	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *coordURL == "" || *dir == "" {
 		return fmt.Errorf("study-worker needs -coord and -dir")
 	}
-	w := &fabric.Worker{Coord: *coordURL, Name: *name, Dir: *dir, Log: stderrLog(progress)}
-	if progress {
+	w := &fabric.Worker{Coord: *coordURL, Name: *name, Dir: *dir}
+	if c.progress {
+		w.Log = c.logf
 		w.Progress = func(shard, done, total int) {
-			fmt.Fprintf(os.Stderr, "%s: shard %d: %d/%d scenarios\n", *name, shard, done, total)
+			c.logf("%s: shard %d: %d/%d scenarios", *name, shard, done, total)
 		}
 	}
-	err := w.Run(ctx, opts...)
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "%s: interrupted; restart with the same -name and -dir to resume\n", *name)
+	err := w.Run(ctx, c.opts...)
+	if interrupted(err) {
+		c.logf("%s: interrupted; restart with the same -name and -dir to resume", *name)
 	}
 	return err
 }

@@ -7,7 +7,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"os"
 	"time"
@@ -16,20 +15,8 @@ import (
 	"bce/internal/serve"
 )
 
-func runLoadgen(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
-	var (
-		url       = fs.String("url", "http://localhost:8080", "target bceweb base URL")
-		n         = fs.Int("n", 50, "total submissions to complete")
-		c         = fs.Int("c", 4, "closed-loop concurrency (virtual clients)")
-		rate      = fs.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
-		days      = fs.Float64("days", 0.05, "emulated days per built-in scenario")
-		scnPath   = fs.String("scenario", "", "scenario JSON file to submit (default: tiny built-in)")
-		identical = fs.Bool("identical", false, "submit byte-identical requests (hammers the result cache)")
-		timeout   = fs.Duration("timeout", 2*time.Minute, "per-request cap, submit through completion")
-	)
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: bcectl loadgen [flags]
+func (c *cli) loadgen(ctx context.Context, args []string) error {
+	fs := c.flagSet("loadgen", `usage: bcectl loadgen [flags]
 
 Drives a running bceweb with submit→poll→result cycles and reports
 p50/p90/p99 latency and throughput. Start a target first, e.g.:
@@ -38,15 +25,23 @@ p50/p90/p99 latency and throughput. Start a target first, e.g.:
   bcectl loadgen -url http://localhost:8080 -n 100 -c 8
 
 flags:`)
-		fs.PrintDefaults()
-	}
+	var (
+		url       = fs.String("url", "http://localhost:8080", "target bceweb base URL")
+		n         = fs.Int("n", 50, "total submissions to complete")
+		conc      = fs.Int("c", 4, "closed-loop concurrency (virtual clients)")
+		rate      = fs.Float64("rate", 0, "open-loop arrival rate in req/s (0 = closed loop)")
+		days      = fs.Float64("days", 0.05, "emulated days per built-in scenario")
+		scnPath   = fs.String("scenario", "", "scenario JSON file to submit (default: tiny built-in)")
+		identical = fs.Bool("identical", false, "submit byte-identical requests (hammers the result cache)")
+		timeout   = fs.Duration("timeout", 2*time.Minute, "per-request cap, submit through completion")
+	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	o := serve.LoadgenOptions{
 		URL:         *url,
 		Requests:    *n,
-		Concurrency: *c,
+		Concurrency: *conc,
 		RatePerSec:  *rate,
 		Identical:   *identical,
 		Timeout:     *timeout,
@@ -69,12 +64,12 @@ flags:`)
 	if o.RatePerSec > 0 {
 		mode = fmt.Sprintf("open loop, %.1f req/s", o.RatePerSec)
 	}
-	fmt.Printf("loadgen: %d requests against %s (%s)\n", o.Requests, o.URL, mode)
+	fmt.Fprintf(c.stdout, "loadgen: %d requests against %s (%s)\n", o.Requests, o.URL, mode)
 	res, err := serve.Loadgen(ctx, o)
 	if err != nil {
 		return err
 	}
-	fmt.Print(res.Table())
+	fmt.Fprint(c.stdout, res.Table())
 	if res.Failed > 0 {
 		return fmt.Errorf("loadgen: %d request(s) failed", res.Failed)
 	}

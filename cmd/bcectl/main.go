@@ -12,12 +12,21 @@
 //
 // Figure output is a table plus an ASCII chart; -csv writes the series
 // as CSV to a file.
+//
+// main only turns SIGINT and SIGTERM into a context; run is the whole
+// command and writes only to the streams it is given. So this
+// package's tests are bcectl's acceptance tests: they drive its
+// subcommands through run in-process, and TestProcessDrill builds the
+// binaries for the checks that need real processes and signals
+// (DESIGN.md §7).
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -35,57 +44,84 @@ import (
 )
 
 func main() {
-	var (
-		seeds      = flag.Int("seeds", 3, "replications per configuration")
-		workers    = flag.Int("workers", runtime.NumCPU(), "concurrent emulation runs")
-		progress   = flag.Bool("progress", false, "print live batch progress to stderr")
-		csv        = flag.String("csv", "", "also write figure/sweep data as CSV to this file")
-		chart      = flag.Bool("chart", true, "print ASCII charts for sweeps")
-		html       = flag.String("html", "", "also write an HTML report with SVG charts to this file")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the whole batch to this file")
-	)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() < 1 {
-		usage()
-		os.Exit(2)
-	}
-	cmd := flag.Arg(0)
+	// Ctrl-C cancels the batch between simulator events; stop then
+	// restores the default handling, so a second signal kills the
+	// process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	context.AfterFunc(ctx, stop)
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	// os.Exit skips deferred calls and a truncated profile is useless,
-	// so every exit path below stops the profile explicitly.
-	stopProfile := func() {}
+// cli is one bcectl invocation: its parsed global flags and the
+// streams its subcommands write to.
+type cli struct {
+	seeds          []int64
+	opts           []runner.Option
+	progress       bool
+	csv            string
+	chart          bool
+	rep            *report.Report // the -html report; nil without -html
+	stdout, stderr io.Writer
+}
+
+// run is bcectl on args (without the program name) under ctx. It
+// writes only to stdout and stderr and returns the exit code: 0 on
+// success or -h, 1 when the command fails, 2 for a bad top-level flag
+// or a missing or unknown command. stderr must take concurrent writes,
+// as an *os.File does: study-coord logs from its HTTP handlers.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bcectl", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		seeds      = fs.Int("seeds", 3, "replications per configuration")
+		workers    = fs.Int("workers", runtime.NumCPU(), "concurrent emulation runs")
+		progress   = fs.Bool("progress", false, "print live batch progress to stderr")
+		csv        = fs.String("csv", "", "also write figure/sweep data as CSV to this file")
+		chart      = fs.Bool("chart", true, "print ASCII charts for sweeps")
+		html       = fs.String("html", "", "also write an HTML report with SVG charts to this file")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the whole batch to this file")
+	)
+	fs.Usage = func() { usage(fs) }
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() < 1 {
+		fs.Usage()
+		return 2
+	}
+	cmd, rest := fs.Arg(0), fs.Args()[1:]
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
+		if err == nil {
+			defer f.Close()
+			err = pprof.StartCPUProfile(f)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "bcectl:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "bcectl:", err)
+			return 1
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bcectl:", err)
-			os.Exit(1)
-		}
-		stopProfile = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
+		defer pprof.StopCPUProfile()
 	}
-	sl := harness.Seeds(*seeds)
-	var rep *report.Report
+	c := &cli{
+		seeds:    harness.Seeds(*seeds),
+		progress: *progress,
+		csv:      *csv,
+		chart:    *chart,
+		stdout:   stdout,
+		stderr:   stderr,
+	}
 	if *html != "" {
-		rep = report.New("BCE " + cmd + " report")
+		c.rep = report.New("BCE " + cmd + " report")
 	}
-
-	// Ctrl-C cancels the batch between simulator events; a second
-	// signal kills the process the default way.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	batchOpts := runner.Options{Workers: *workers}
 	if *progress {
-		batchOpts.Progress = printProgress
+		batchOpts.Progress = c.printProgress
 	}
-	opts := []runner.Option{runner.WithOptions(batchOpts)}
+	c.opts = []runner.Option{runner.WithOptions(batchOpts)}
 
 	var err error
 	switch cmd {
@@ -98,68 +134,82 @@ func main() {
 			if !strings.HasPrefix(e.ID, prefix) {
 				continue
 			}
-			if err = runFigure(ctx, e, sl, "", *chart, rep, opts); err != nil {
+			if err = c.figure(ctx, e, ""); err != nil {
 				break
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	case "compare":
-		err = runCompare(ctx, flag.Arg(1), sl, rep, opts)
+		err = c.compare(ctx, fs.Arg(1))
 	case "sweep":
-		err = runSweep(ctx, flag.Args()[1:], sl, *csv, *chart, rep, opts)
+		err = c.sweep(ctx, rest)
 	case "study":
-		err = runStudy(ctx, flag.Args()[1:], *progress, rep, opts)
+		err = c.study(ctx, rest)
 	case "study-coord":
-		err = runStudyCoord(ctx, flag.Args()[1:], *progress, rep)
+		err = c.studyCoord(ctx, rest)
 	case "study-worker":
-		err = runStudyWorker(ctx, flag.Args()[1:], *progress, opts)
+		err = c.studyWorker(ctx, rest)
 	case "bench":
-		err = runBench(flag.Args()[1:])
+		err = c.bench(rest)
 	case "loadgen":
-		err = runLoadgen(ctx, flag.Args()[1:])
+		err = c.loadgen(ctx, rest)
 	default:
 		e, lerr := experiments.ByID(cmd)
 		if lerr != nil {
-			usage()
-			stopProfile()
-			os.Exit(2)
+			fs.Usage()
+			return 2
 		}
-		err = runFigure(ctx, e, sl, *csv, *chart, rep, opts)
+		err = c.figure(ctx, e, c.csv)
 	}
-	if err == nil && rep != nil {
-		err = writeReport(rep, *html)
+	if err == nil && c.rep != nil {
+		err = c.writeReport(*html)
 	}
-	stopProfile()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bcectl:", err)
-		os.Exit(1)
+	switch {
+	case errors.Is(err, flag.ErrHelp): // a subcommand's -h
+		return 0
+	case err != nil:
+		fmt.Fprintln(stderr, "bcectl:", err)
+		return 1
 	}
+	return 0
+}
+
+// flagSet returns a subcommand's flag set, which reports to c.stderr
+// and whose usage is line and then its flags.
+func (c *cli) flagSet(name, line string) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(c.stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(c.stderr, line)
+		fs.PrintDefaults()
+	}
+	return fs
 }
 
 // printProgress rewrites one stderr status line per engine update.
-func printProgress(p runner.Progress) {
-	fmt.Fprintf(os.Stderr, "\r%d/%d runs (%d in flight, %d failed)  %.2e events  %.3g ev/s   ",
+func (c *cli) printProgress(p runner.Progress) {
+	fmt.Fprintf(c.stderr, "\r%d/%d runs (%d in flight, %d failed)  %.2e events  %.3g ev/s   ",
 		p.Done, p.Total, p.Started-p.Done, p.Failed, float64(p.Events), p.EventsPerSec())
 	if p.Done == p.Total {
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintln(c.stderr)
 	}
 }
 
-func writeReport(rep *report.Report, path string) error {
+func (c *cli) writeReport(path string) error {
 	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer out.Close()
-	if err := rep.Render(out); err != nil {
+	if err := c.rep.Render(out); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "HTML report written to %s\n", path)
+	fmt.Fprintf(c.stderr, "HTML report written to %s\n", path)
 	return nil
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `bcectl — BOINC client emulator controller
+func usage(fs *flag.FlagSet) {
+	fmt.Fprintf(fs.Output(), `bcectl — BOINC client emulator controller
 
   bcectl [flags] fig1..fig6        regenerate one paper figure
   bcectl [flags] figures           regenerate all paper figures
@@ -191,17 +241,19 @@ func usage() {
 
 flags:
 `)
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }
 
-func runFigure(ctx context.Context, e experiments.Entry, seeds []int64, csvPath string, chart bool, rep *report.Report, opts []runner.Option) error {
-	fig, err := e.Gen(ctx, seeds, opts...)
+// figure regenerates one registry entry; a non-empty csvPath also
+// gets its series as CSV.
+func (c *cli) figure(ctx context.Context, e experiments.Entry, csvPath string) error {
+	fig, err := e.Gen(ctx, c.seeds, c.opts...)
 	if err != nil {
 		return err
 	}
-	printFigure(fig, chart)
-	if rep != nil {
-		rep.AddFigure(fig)
+	c.printFigure(fig)
+	if c.rep != nil {
+		c.rep.AddFigure(fig)
 	}
 	if csvPath != "" {
 		return writeFigureCSV(fig, csvPath)
@@ -209,18 +261,18 @@ func runFigure(ctx context.Context, e experiments.Entry, seeds []int64, csvPath 
 	return nil
 }
 
-func printFigure(f *experiments.Figure, chart bool) {
-	fmt.Printf("== %s: %s\n", f.ID, f.Title)
-	fmt.Println(f.Header())
+func (c *cli) printFigure(f *experiments.Figure) {
+	fmt.Fprintf(c.stdout, "== %s: %s\n", f.ID, f.Title)
+	fmt.Fprintln(c.stdout, f.Header())
 	for i := range f.X {
-		fmt.Println(f.Row(i))
+		fmt.Fprintln(c.stdout, f.Row(i))
 	}
 	if f.Notes != "" {
-		fmt.Println("note:", f.Notes)
+		fmt.Fprintln(c.stdout, "note:", f.Notes)
 	}
-	if chart && len(f.X) > 2 {
-		fmt.Println()
-		fmt.Print(figureChart(f, 60, 12))
+	if c.chart && len(f.X) > 2 {
+		fmt.Fprintln(c.stdout)
+		fmt.Fprint(c.stdout, figureChart(f, 60, 12))
 	}
 }
 
@@ -292,9 +344,9 @@ func writeFigureCSV(f *experiments.Figure, path string) error {
 	return nil
 }
 
-// runCompare runs every job-sched × job-fetch combination on a
+// compare runs every job-sched × job-fetch combination on a
 // user-supplied scenario.
-func runCompare(ctx context.Context, path string, seeds []int64, rep *report.Report, opts []runner.Option) error {
+func (c *cli) compare(ctx context.Context, path string) error {
 	if path == "" {
 		return fmt.Errorf("compare needs a scenario file")
 	}
@@ -322,20 +374,20 @@ func runCompare(ctx context.Context, path string, seeds []int64, rep *report.Rep
 			})
 		}
 	}
-	cmp, err := harness.Compare(ctx, variants, seeds, opts...)
+	cmp, err := harness.Compare(ctx, variants, c.seeds, c.opts...)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scenario %s, %d seed(s)\n\n", base.Name, len(seeds))
-	fmt.Print(cmp.Table())
-	if rep != nil {
-		rep.AddComparison("Policy comparison on "+base.Name, cmp)
+	fmt.Fprintf(c.stdout, "scenario %s, %d seed(s)\n\n", base.Name, len(c.seeds))
+	fmt.Fprint(c.stdout, cmp.Table())
+	if c.rep != nil {
+		c.rep.AddComparison("Policy comparison on "+base.Name, cmp)
 	}
 	return nil
 }
 
-// runSweep sweeps one scenario parameter across the given values.
-func runSweep(ctx context.Context, args []string, seeds []int64, csvPath string, chart bool, rep *report.Report, opts []runner.Option) error {
+// sweep sweeps one scenario parameter across the given values.
+func (c *cli) sweep(ctx context.Context, args []string) error {
 	if len(args) < 3 {
 		return fmt.Errorf("sweep needs: scenario.json param v1 v2 ...")
 	}
@@ -389,28 +441,28 @@ func runSweep(ctx context.Context, args []string, seeds []int64, csvPath string,
 	if err := set(&probe, xs[0]); err != nil {
 		return err
 	}
-	sw, err := harness.Sweep(ctx, param, xs, mk, seeds, opts...)
+	sw, err := harness.Sweep(ctx, param, xs, mk, c.seeds, c.opts...)
 	if err != nil {
 		return err
 	}
 	for _, metric := range []string{"idle", "wasted", "share_violation", "monotony", "rpcs_per_job"} {
-		fmt.Print(sw.Table(metric))
-		fmt.Println()
+		fmt.Fprint(c.stdout, sw.Table(metric))
+		fmt.Fprintln(c.stdout)
 	}
-	if chart {
+	if c.chart {
 		xs, ys := sw.Series(base.Name, "wasted")
-		fmt.Print(figureChart(&experiments.Figure{
+		fmt.Fprint(c.stdout, figureChart(&experiments.Figure{
 			XLabel: param, YLabel: "wasted",
 			Labels: []string{base.Name}, X: xs, Y: map[string][]float64{base.Name: ys},
 		}, 60, 12))
 	}
-	if rep != nil {
+	if c.rep != nil {
 		for _, metric := range []string{"idle", "wasted", "share_violation", "monotony", "rpcs_per_job"} {
-			rep.AddSweep(metric+" vs "+param, sw, metric)
+			c.rep.AddSweep(metric+" vs "+param, sw, metric)
 		}
 	}
-	if csvPath != "" {
-		out, err := os.Create(csvPath)
+	if c.csv != "" {
+		out, err := os.Create(c.csv)
 		if err != nil {
 			return err
 		}

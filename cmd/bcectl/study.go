@@ -9,14 +9,12 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	"bce/internal/population"
-	"bce/internal/report"
-	"bce/internal/runner"
 	"bce/internal/scenario"
 )
 
@@ -75,14 +73,10 @@ func (pf *popFlags) params() (population.Params, error) {
 	return p, nil
 }
 
-func runStudy(ctx context.Context, args []string, progress bool, rep *report.Report, opts []runner.Option) error {
-	fs := flag.NewFlagSet("study", flag.ContinueOnError)
+func (c *cli) study(ctx context.Context, args []string) error {
+	fs := c.flagSet("study", "usage: bcectl [flags] study [study flags]")
 	pf := addPopFlags(fs)
 	checkpoint := fs.String("checkpoint", "", "write an aggregate checkpoint to this file after every batch; a rerun on it resumes the study")
-	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: bcectl [flags] study [study flags]")
-		fs.PrintDefaults()
-	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -92,40 +86,48 @@ func runStudy(ctx context.Context, args []string, progress bool, rep *report.Rep
 		return err
 	}
 	p.CheckpointPath = *checkpoint
-	if progress {
+	if c.progress {
 		p.Progress = func(done, total int) {
-			fmt.Fprintf(os.Stderr, "\rstudy: %d/%d scenarios   ", done, total)
+			fmt.Fprintf(c.stderr, "\rstudy: %d/%d scenarios   ", done, total)
 			if done == total {
-				fmt.Fprintln(os.Stderr)
+				fmt.Fprintln(c.stderr)
 			}
 		}
 	}
 
-	st, err := population.Run(ctx, p, opts...)
+	st, err := population.Run(ctx, p, c.opts...)
 	if err != nil {
-		if st != nil && st.Done > 0 && *checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "study interrupted at %d/%d scenarios; rerun the same command to resume\n",
+		// Hint at a rerun only after an interruption: a failure such
+		// as an unwritable checkpoint would recur on it.
+		if interrupted(err) && st != nil && st.Done > 0 && *checkpoint != "" {
+			fmt.Fprintf(c.stderr, "study interrupted at %d/%d scenarios; rerun the same command to resume\n",
 				st.Done, st.Target)
 		}
 		return err
 	}
-	printStudy(st, rep)
+	c.printStudy(st)
 	return nil
+}
+
+// interrupted reports whether err is the context's: a signal or a
+// deadline stopped the command, not a fault.
+func interrupted(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // printStudy renders the finished study's tables (shared by study and
 // study-coord).
-func printStudy(st *population.Study, rep *report.Report) {
-	fmt.Printf("population study: %d scenarios, seed %d\n\n", st.Done, st.Seed)
-	fmt.Print(st.Table())
-	fmt.Println()
-	fmt.Print(st.QuantileTable(2)) // share_violation
-	fmt.Println()
-	fmt.Print(st.WinsTable(2))
-	fmt.Println()
-	fmt.Print(st.WinsTable(4)) // rpcs_per_job
-	if rep != nil {
-		rep.AddPopulation(fmt.Sprintf("Population study (%d scenarios)", st.Done), st)
+func (c *cli) printStudy(st *population.Study) {
+	fmt.Fprintf(c.stdout, "population study: %d scenarios, seed %d\n\n", st.Done, st.Seed)
+	fmt.Fprint(c.stdout, st.Table())
+	fmt.Fprintln(c.stdout)
+	fmt.Fprint(c.stdout, st.QuantileTable(2)) // share_violation
+	fmt.Fprintln(c.stdout)
+	fmt.Fprint(c.stdout, st.WinsTable(2))
+	fmt.Fprintln(c.stdout)
+	fmt.Fprint(c.stdout, st.WinsTable(4)) // rpcs_per_job
+	if c.rep != nil {
+		c.rep.AddPopulation(fmt.Sprintf("Population study (%d scenarios)", st.Done), st)
 	}
 }
 

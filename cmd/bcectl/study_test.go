@@ -6,7 +6,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -106,24 +105,24 @@ func TestStudyRerunResumesOrRefuses(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			args := append(slices.Clip(same), tc.args...)
-			err := runStudy(context.Background(), args, false, nil, nil)
+			args := append(append([]string{"study"}, same...), tc.args...)
+			code, _, stderr := bcectl(context.Background(), args...)
 			if len(tc.wantErr) == 0 {
-				if err != nil {
-					t.Fatalf("runStudy(%v) = %v, want success", args, err)
+				if code != 0 {
+					t.Fatalf("bcectl %v: exit %d, want success\n%s", args, code, stderr)
 				}
 			} else {
-				if err == nil {
-					t.Fatalf("runStudy(%v) succeeded, want refusal", args)
+				if code != 1 {
+					t.Fatalf("bcectl %v: exit %d, want refusal\n%s", args, code, stderr)
 				}
 				for _, want := range tc.wantErr {
-					if !strings.Contains(err.Error(), want) {
-						t.Errorf("error %q missing %q", err, want)
+					if !strings.Contains(stderr, want) {
+						t.Errorf("stderr %q missing %q", stderr, want)
 					}
 				}
 			}
 			if got, err := os.ReadFile(ck); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("runStudy(%v) changed the checkpoint (err %v)", args, err)
+				t.Fatalf("bcectl %v changed the checkpoint (err %v)", args, err)
 			}
 		})
 	}
@@ -132,13 +131,15 @@ func TestStudyRerunResumesOrRefuses(t *testing.T) {
 // TestStudyCoordRefusesAnotherStudysCheckpoint: study-coord writes its
 // merged study to -checkpoint only where a study rerun would resume
 // it. A checkpoint of another seed, or of more scenarios than -n, is
-// refused with its path named before -dir is made: the checkpoint keeps
-// its bytes and no spec.json appears. The coordinator listens on a
-// free port under a deadline, so a study-coord that skipped the check
-// fails the test instead of serving forever.
+// refused with its path named before -dir is made, and so is one whose
+// directory does not exist: the checkpoint keeps its bytes and no
+// spec.json appears. The coordinator listens on a free port under a
+// deadline, so a study-coord that skipped the check fails the test
+// instead of serving forever.
 func TestStudyCoordRefusesAnotherStudysCheckpoint(t *testing.T) {
 	ck, want, same := finishedStudy(t)
 	same = append(same, "-shards", "2", "-lease-secs", "1", "-addr", "127.0.0.1:0")
+	missing := filepath.Join(t.TempDir(), "nodir", "x.json")
 
 	for _, tc := range []struct {
 		name    string
@@ -155,27 +156,63 @@ func TestStudyCoordRefusesAnotherStudysCheckpoint(t *testing.T) {
 			args:    []string{"-n", "3"},
 			wantErr: []string{"refusing to resume", ck, "covers 6 scenarios", "the 3 asked for"},
 		},
+		{
+			name:    "missing checkpoint dir",
+			args:    []string{"-checkpoint", missing},
+			wantErr: []string{"bcectl: cannot write -checkpoint " + missing, "no such file or directory"},
+		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "coord")
-			args := append(append(slices.Clip(same), tc.args...), "-dir", dir)
+			args := append(append(append([]string{"study-coord"}, same...), tc.args...), "-dir", dir)
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
-			err := runStudyCoord(ctx, args, false, nil)
-			if err == nil {
-				t.Fatalf("runStudyCoord(%v) succeeded, want refusal", args)
+			code, _, stderr := bcectl(ctx, args...)
+			if code != 1 {
+				t.Fatalf("bcectl %v: exit %d, want refusal\n%s", args, code, stderr)
 			}
 			for _, want := range tc.wantErr {
-				if !strings.Contains(err.Error(), want) {
-					t.Errorf("error %q missing %q", err, want)
+				if !strings.Contains(stderr, want) {
+					t.Errorf("stderr %q missing %q", stderr, want)
 				}
 			}
 			if got, err := os.ReadFile(ck); err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("runStudyCoord(%v) changed the checkpoint (err %v)", args, err)
+				t.Fatalf("bcectl %v changed the checkpoint (err %v)", args, err)
 			}
 			if _, err := os.Stat(filepath.Join(dir, "spec.json")); !errors.Is(err, os.ErrNotExist) {
 				t.Fatalf("refused study-coord left %s/spec.json (stat err %v)", dir, err)
 			}
 		})
+	}
+}
+
+// TestStudyExtendedEqualsFresh runs the streaming study end to end:
+// 30 tiny scenarios written to a checkpoint, the same command rerun
+// with -n 60 to extend it, and a fresh 60-scenario run, whose
+// checkpoint and tables the extended one must equal byte for byte. A
+// rerun with another seed is refused and leaves the checkpoint's bytes
+// as they were.
+func TestStudyExtendedEqualsFresh(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "study-a.json"), filepath.Join(dir, "study-b.json")
+	study := func(args ...string) []string {
+		return append([]string{"study", "-days", "0.1", "-batch", "10"}, args...)
+	}
+	mustRun(t, study("-n", "30", "-checkpoint", a)...)
+	outA := mustRun(t, study("-n", "60", "-checkpoint", a)...)
+	outB := mustRun(t, study("-n", "60", "-checkpoint", b)...)
+	ckA, errA := os.ReadFile(a)
+	ckB, errB := os.ReadFile(b)
+	if errA != nil || errB != nil || !bytes.Equal(ckA, ckB) {
+		t.Fatalf("the extended checkpoint differs from the fresh one (errs %v, %v)", errA, errB)
+	}
+	if outA != outB {
+		t.Fatalf("the extended study's tables differ from the fresh one's:\n%s\n---\n%s", outA, outB)
+	}
+	if code, _, _ := bcectl(context.Background(), study("-n", "60", "-seed", "2", "-checkpoint", a)...); code == 0 {
+		t.Fatal("a rerun with another seed must be refused")
+	}
+	if got, err := os.ReadFile(a); err != nil || !bytes.Equal(got, ckA) {
+		t.Fatalf("the refused rerun changed the checkpoint (err %v)", err)
 	}
 }
