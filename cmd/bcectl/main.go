@@ -22,6 +22,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -93,6 +94,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cmd, rest := fs.Arg(0), fs.Args()[1:]
+	if *csv != "" && (cmd == "figures" || cmd == "extensions") {
+		// One CSV cannot hold figures with different x axes.
+		fmt.Fprintf(stderr, "bcectl: -csv takes one figure's series, and %s makes several; run each figure with its own -csv\n", cmd)
+		return 2
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -324,24 +330,41 @@ func figureChart(f *experiments.Figure, width, height int) string {
 }
 
 func writeFigureCSV(f *experiments.Figure, path string) error {
+	return createFile(path, func(w io.Writer) error {
+		fmt.Fprintf(w, "%s", f.XLabel)
+		for _, l := range f.Labels {
+			fmt.Fprintf(w, ",%s", l)
+		}
+		fmt.Fprintln(w)
+		for i, x := range f.X {
+			fmt.Fprintf(w, "%g", x)
+			for _, l := range f.Labels {
+				fmt.Fprintf(w, ",%g", f.Y[l][i])
+			}
+			fmt.Fprintln(w)
+		}
+		return nil
+	})
+}
+
+// createFile creates the file at path and fills it through write,
+// buffered. It returns the first error of the write, the flush or the
+// close: a bufio.Writer keeps its first write error and Flush returns
+// it, so write may ignore the errors of its own writes.
+func createFile(path string, write func(w io.Writer) error) error {
 	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer out.Close()
-	fmt.Fprintf(out, "%s", f.XLabel)
-	for _, l := range f.Labels {
-		fmt.Fprintf(out, ",%s", l)
+	bw := bufio.NewWriter(out)
+	err = write(bw)
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
 	}
-	fmt.Fprintln(out)
-	for i, x := range f.X {
-		fmt.Fprintf(out, "%g", x)
-		for _, l := range f.Labels {
-			fmt.Fprintf(out, ",%g", f.Y[l][i])
-		}
-		fmt.Fprintln(out)
+	if cerr := out.Close(); err == nil {
+		err = cerr
 	}
-	return nil
+	return err
 }
 
 // compare runs every job-sched × job-fetch combination on a
@@ -462,12 +485,7 @@ func (c *cli) sweep(ctx context.Context, args []string) error {
 		}
 	}
 	if c.csv != "" {
-		out, err := os.Create(c.csv)
-		if err != nil {
-			return err
-		}
-		defer out.Close()
-		return sw.CSV(out)
+		return createFile(c.csv, sw.CSV)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,6 +39,7 @@ func mustRun(t *testing.T, args ...string) string {
 func TestRunExitCodes(t *testing.T) {
 	ck, want, same := finishedStudy(t)
 	nodir := filepath.Join(t.TempDir(), "nodir")
+	csvPath := filepath.Join(t.TempDir(), "fig.csv")
 	const usageLine = "bcectl — BOINC client emulator controller"
 
 	for _, tc := range []struct {
@@ -53,6 +56,13 @@ func TestRunExitCodes(t *testing.T) {
 			stderr: []string{"flag provided but not defined: -bogus", usageLine},
 		},
 		{name: "top-level -h", args: []string{"-h"}, code: 0, stderr: []string{usageLine}, notStderr: "bcectl:"},
+		{
+			// One CSV cannot hold figures with different x axes, so
+			// -csv is refused before any figure runs.
+			name: "-csv with figures", args: []string{"-seeds", "1", "-csv", csvPath, "figures"}, code: 2,
+			stderr: []string{"bcectl: -csv"},
+		},
+		{name: "-csv with extensions", args: []string{"-csv", csvPath, "extensions"}, code: 2, stderr: []string{"bcectl: -csv"}},
 		{
 			name: "study -h", args: []string{"study", "-h"}, code: 0,
 			stderr: []string{"usage: bcectl [flags] study", "-checkpoint"}, notStderr: "bcectl:",
@@ -93,6 +103,24 @@ func TestRunExitCodes(t *testing.T) {
 	}
 	if got, err := os.ReadFile(ck); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("the refused study changed its checkpoint (err %v)", err)
+	}
+	if _, err := os.Stat(csvPath); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a refused -csv left %s behind (stat: %v)", csvPath, err)
+	}
+}
+
+// TestFigureCSVWriteError: a -csv file that cannot be written fails
+// the command, after the figure's table has been printed.
+func TestFigureCSVWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail the write with")
+	}
+	code, stdout, stderr := bcectl(context.Background(), "-seeds", "1", "-csv", "/dev/full", "fig2")
+	if code != 1 || !strings.Contains(stderr, "bcectl: write /dev/full: no space left on device") {
+		t.Fatalf("exit %d, want 1 with the write error; stderr:\n%s", code, stderr)
+	}
+	if !strings.HasPrefix(stdout, "== fig2:") {
+		t.Fatalf("stdout %q, want the figure table first", stdout)
 	}
 }
 

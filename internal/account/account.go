@@ -114,7 +114,7 @@ func (l *LocalDebt) Update(now float64, hasWork func(p int, t host.ProcType) boo
 		if dt > 0 {
 			for p := range l.shares {
 				if eligible[p] {
-					l.debt[p][t] += l.shares[p] / shareSum * dt * ninst
+					l.debt[p][t] += float64(l.shares[p] / shareSum * dt * ninst)
 				}
 			}
 		}
@@ -175,7 +175,7 @@ func (l *LocalDebt) PrioFetch(p int) float64 {
 	}
 	var sum float64
 	for t := host.ProcType(0); t < host.NumProcTypes; t++ {
-		sum += l.debt[p][t] * l.hw.PeakFLOPS(t)
+		sum += float64(l.debt[p][t] * l.hw.PeakFLOPS(t))
 	}
 	return sum
 }

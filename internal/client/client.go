@@ -778,7 +778,7 @@ func (c *Client) backoff(p int, why string) {
 		d = rpcBackoffMax
 	}
 	// Jitter avoids lock-step retries.
-	d *= 0.5 + c.rng.Float64()
+	d = float64(d * (0.5 + c.rng.Float64()))
 	c.backoffUntil[p] = c.sim.Now() + d
 	if c.logOn {
 		c.logf("backoff project %d for %.0f s (%s)", p, d, why)

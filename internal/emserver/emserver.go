@@ -417,7 +417,7 @@ func (s *Server) returned(r *result, isError bool) {
 	s.stats.Succeeded++
 	// Claimed credit: proportional to the job's operations, scaled by
 	// the host's systematic bias (BOINC's "cobblestones").
-	r.claim = s.p.FPOpsEst / 1e9 * s.hosts[r.host].claimBias
+	r.claim = float64(s.p.FPOpsEst / 1e9 * s.hosts[r.host].claimBias)
 	s.stats.CreditClaimed += r.claim
 	wu.successes++
 	switch {
@@ -489,7 +489,7 @@ func (s *Server) validate(wu *workunit) {
 		}
 	}
 	if n > 0 && !math.IsInf(grant, 1) {
-		s.stats.CreditGranted += grant * float64(n)
+		s.stats.CreditGranted += float64(grant * float64(n))
 	}
 	s.cancelOutstanding(wu)
 }

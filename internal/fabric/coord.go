@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"time"
 
@@ -224,10 +225,11 @@ func (c *Coordinator) Done() <-chan struct{} {
 }
 
 // Drained is closed once the study is complete and every worker this
-// coordinator has heard from has been answered done. A worker exits
-// only on that reply and takes a refused connection for a coordinator
-// restart, so a coordinator process keeps serving until Drained (or a
-// lease TTL, for workers it never heard from) before it stops.
+// coordinator has heard from has been answered done, each reply
+// already flushed to its connection. A worker exits only on that reply
+// and takes a refused connection for a coordinator restart, so a
+// coordinator process keeps serving until Drained (or a lease TTL, for
+// workers it never heard from) before it stops.
 func (c *Coordinator) Drained() <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -343,8 +345,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if done == len(c.shards) {
-		c.noteWorkerLocked(req.Worker, false)
+		// The reply goes onto the connection before the worker counts
+		// as answered: once every worker is, Drained fires and the host
+		// may close the server, cutting off anything still buffered.
 		writeJSON(w, http.StatusOK, LeaseReply{Status: StatusDone})
+		if f, ok := w.(http.Flusher); ok {
+			f.Flush()
+		}
+		c.noteWorkerLocked(req.Worker, false)
 		return
 	}
 	// Everything is leased out and live: come back in a second, the
@@ -491,11 +499,18 @@ func decodeInto(w http.ResponseWriter, r *http.Request, out any) bool {
 	return true
 }
 
+// writeJSON sends v as the whole reply. It declares the length, so a
+// flushed reply is complete on the wire even while the handler runs.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status, body = http.StatusInternalServerError, []byte(`{"error":"fabric: unencodable reply"}`)
+	}
+	body = append(body, '\n')
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v) //bce:errok the client hung up; there is no one left to tell
+	_, _ = w.Write(body) //bce:errok the client hung up; there is no one left to tell
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

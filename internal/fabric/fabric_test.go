@@ -1,13 +1,16 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -558,6 +561,62 @@ func TestFabricDrainedAfterEveryDoneReply(t *testing.T) {
 	}
 	if !drained() {
 		t.Fatal("not drained after every worker was answered done")
+	}
+}
+
+// flushWatch passes responses through and records whether a done
+// lease reply has been flushed to the connection.
+type flushWatch struct {
+	http.ResponseWriter
+	done    bool // this response is a done reply
+	flushed *atomic.Bool
+}
+
+func (w *flushWatch) Write(b []byte) (int, error) {
+	w.done = w.done || bytes.Contains(b, []byte(`"status":"done"`))
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *flushWatch) Flush() {
+	w.ResponseWriter.(http.Flusher).Flush()
+	if w.done {
+		w.flushed.Store(true)
+	}
+}
+
+// Drained tells a host it may stop serving, so the last done reply
+// must be on the connection when it fires: a host that closes its
+// server, active connections and all, the moment Drained fires must
+// still see its worker's Run return nil, every time.
+func TestFabricDoneReplySentBeforeDrained(t *testing.T) {
+	spec := testSpec(8, 2)
+	for i := 0; i < 50; i++ {
+		c, err := NewCoordinator(spec, CoordinatorOptions{Dir: t.TempDir(), LeaseTTL: 5 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var flushed atomic.Bool
+		h := c.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(&flushWatch{ResponseWriter: w, flushed: &flushed}, r)
+		}))
+		early := make(chan bool, 1)
+		go func() {
+			<-c.Drained()
+			early <- !flushed.Load()
+			srv.Config.Close() // http.Server.Close: active connections too
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		w := &Worker{Coord: srv.URL, Name: "w", Dir: t.TempDir(), RunBatch: stubBatch}
+		err = w.Run(ctx)
+		cancel()
+		srv.Close()
+		if <-early {
+			t.Fatalf("run %d: Drained fired before the done reply was flushed", i)
+		}
+		if err != nil {
+			t.Fatalf("run %d: worker: %v; want nil, the done reply delivered before the server closed", i, err)
+		}
 	}
 }
 

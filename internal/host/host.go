@@ -69,7 +69,7 @@ type Hardware struct {
 // PeakFLOPS returns the total peak FLOPS of all instances of type t.
 func (h *Hardware) PeakFLOPS(t ProcType) float64 {
 	r := h.Proc[t]
-	return float64(r.Count) * r.FLOPSPerInst
+	return float64(float64(r.Count) * r.FLOPSPerInst)
 }
 
 // TotalPeakFLOPS returns the host's aggregate peak FLOPS across all

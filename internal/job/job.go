@@ -86,9 +86,9 @@ func (u Usage) Instances() float64 {
 // PeakFLOPS returns the peak FLOPS of the devices the job occupies on
 // hw; this weights accounting and the figures of merit.
 func (u Usage) PeakFLOPS(hw *host.Hardware) float64 {
-	f := u.AvgCPUs * hw.Proc[host.CPU].FLOPSPerInst
+	f := float64(u.AvgCPUs * hw.Proc[host.CPU].FLOPSPerInst)
 	if u.IsGPU() {
-		f += u.GPUUsage * hw.Proc[u.GPUType].FLOPSPerInst
+		f += float64(u.GPUUsage * hw.Proc[u.GPUType].FLOPSPerInst)
 	}
 	return f
 }

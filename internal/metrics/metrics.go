@@ -67,7 +67,7 @@ func New(hw *host.Hardware, shares []float64) *Recorder {
 // host's full peak FLOPS counts as available capacity for that span.
 func (r *Recorder) OnAvailable(t0, t1 float64) {
 	if t1 > t0 {
-		r.availCapacity += r.hw.TotalPeakFLOPS() * (t1 - t0)
+		r.availCapacity += float64(r.hw.TotalPeakFLOPS() * (t1 - t0))
 	}
 }
 
@@ -76,13 +76,13 @@ func (r *Recorder) OnRun(t0, t1 float64, tk *job.Task) {
 	if t1 <= t0 {
 		return
 	}
-	f := tk.Usage.PeakFLOPS(r.hw) * (t1 - t0)
+	f := float64(tk.Usage.PeakFLOPS(r.hw) * (t1 - t0))
 	if tk.Project >= 0 && tk.Project < len(r.used) {
 		r.used[tk.Project] += f
 		dt := t1 - t0
-		r.usedByType[tk.Project][host.CPU] += tk.Usage.AvgCPUs * r.hw.Proc[host.CPU].FLOPSPerInst * dt
+		r.usedByType[tk.Project][host.CPU] += float64(tk.Usage.AvgCPUs * r.hw.Proc[host.CPU].FLOPSPerInst * dt)
 		if tk.Usage.IsGPU() {
-			r.usedByType[tk.Project][tk.Usage.GPUType] += tk.Usage.GPUUsage * r.hw.Proc[tk.Usage.GPUType].FLOPSPerInst * dt
+			r.usedByType[tk.Project][tk.Usage.GPUType] += float64(tk.Usage.GPUUsage * r.hw.Proc[tk.Usage.GPUType].FLOPSPerInst * dt)
 		}
 	}
 	r.taskUsage[tk] += f
@@ -91,7 +91,7 @@ func (r *Recorder) OnRun(t0, t1 float64, tk *job.Task) {
 	w0 := int(t0 / r.window)
 	w1 := int(t1 / r.window)
 	for w := w0; w <= w1; w++ {
-		lo := float64(w) * r.window
+		lo := float64(float64(w) * r.window)
 		hi := lo + r.window
 		ov := math.Min(t1, hi) - math.Max(t0, lo)
 		if ov <= 0 {
@@ -103,7 +103,7 @@ func (r *Recorder) OnRun(t0, t1 float64, tk *job.Task) {
 			r.windows[w] = wa
 		}
 		if tk.Project >= 0 && tk.Project < len(wa) {
-			wa[tk.Project] += tk.Usage.PeakFLOPS(r.hw) * ov
+			wa[tk.Project] += float64(tk.Usage.PeakFLOPS(r.hw) * ov)
 		}
 	}
 }
@@ -112,7 +112,7 @@ func (r *Recorder) OnRun(t0, t1 float64, tk *job.Task) {
 // past its last checkpoint (or the application never checkpoints).
 func (r *Recorder) OnLostWork(tk *job.Task, seconds float64) {
 	if seconds > 0 {
-		f := seconds * tk.Usage.PeakFLOPS(r.hw)
+		f := float64(seconds * tk.Usage.PeakFLOPS(r.hw))
 		r.lost += f
 		r.taskLost[tk] += f
 	}

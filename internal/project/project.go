@@ -351,7 +351,7 @@ func (s *Server) Dispatch(now float64, reqs []Request, hi HostInfo) []*job.Task 
 			}
 			out = append(out, t)
 			s.Dispatched++
-			secs -= t.EstDuration * t.Usage.Instances()
+			secs -= float64(t.EstDuration * t.Usage.Instances())
 			inst -= t.Usage.Instances()
 		}
 	}

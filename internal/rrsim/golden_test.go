@@ -347,11 +347,194 @@ func deepWorkload(rng *rand.Rand) (Input, []*Job, []*Job) {
 	return in, a, b
 }
 
+// wideWorkload builds a wide host (8–16 CPUs) whose two or three
+// project shares give fractional allocations, so groups hold partial
+// seats, with hundreds of one-CPU jobs of two estimates per project:
+// seats of one estimate finish in the same step, with survivors of the
+// other between them. A zero-share project and jobs for a processor
+// type the host lacks ride along; neither ever runs.
+func wideWorkload(rng *rand.Rand) (Input, []*Job, []*Job) {
+	nproj := 2 + rng.Intn(2)
+	shares := make([]float64, nproj+1) // the last project has no share
+	est := make([][2]float64, nproj+1)
+	for p := range shares {
+		if p < nproj {
+			shares[p] = float64(10 + rng.Intn(90))
+		}
+		est[p] = [2]float64{float64(300 * (1 + rng.Intn(4))), float64(300 * (1 + rng.Intn(4)))}
+	}
+	hw := &host.Hardware{}
+	hw.Proc[host.CPU] = host.Resource{Count: 8 + rng.Intn(9), FLOPSPerInst: 1e9}
+	if rng.Intn(2) == 0 {
+		hw.Proc[host.NvidiaGPU] = host.Resource{Count: 1 + rng.Intn(2), FLOPSPerInst: 1e11}
+	}
+
+	now := rng.Float64() * 1e6
+	in := Input{
+		Now:            now,
+		Hardware:       hw,
+		Shares:         shares,
+		HorizonMin:     8 * 3600,
+		HorizonMax:     36 * 3600,
+		DeadlineMargin: float64(rng.Intn(3)) * 60,
+		Trace:          rng.Intn(4) == 0,
+	}
+	if rng.Intn(2) == 0 {
+		in.OnFrac[host.CPU] = 0.5 + 0.5*rng.Float64()
+	}
+
+	njobs := 200 + rng.Intn(401)
+	a := make([]*Job, njobs)
+	b := make([]*Job, njobs)
+	for i := range a {
+		p := rng.Intn(nproj + 1)
+		j := Job{
+			Project:   p,
+			Type:      host.CPU,
+			Instances: 1,
+			Remaining: est[p][rng.Intn(2)],
+			Deadline:  now + rng.Float64()*2*86400,
+		}
+		switch rng.Intn(20) {
+		case 0:
+			j.Type = host.NvidiaGPU
+		case 1:
+			j.Type = host.AtiGPU // the host has none
+		}
+		cp := j
+		a[i] = &j
+		b[i] = &cp
+	}
+	in.Jobs = a
+	return in, a, b
+}
+
+// drainWorkload builds groups that run dry during the pass: a few
+// projects with a dozen or fewer jobs each, of widely spread work, on
+// 2–16 CPUs. A group's demand falls to and below its fair share as its
+// jobs finish, so it caps and its type's allocation changes, and groups
+// empty one by one. Shares are small multiples of 0.1, so exact fair
+// shares are often whole numbers of CPUs while the computed ones are
+// an ulp off, and a demand can land on the reuse bound's edge.
+func drainWorkload(rng *rand.Rand) (Input, []*Job, []*Job) {
+	nproj := 2 + rng.Intn(4)
+	shares := make([]float64, nproj)
+	for p := range shares {
+		shares[p] = float64(1+rng.Intn(5)) * 0.1
+	}
+	hw := &host.Hardware{}
+	hw.Proc[host.CPU] = host.Resource{Count: 2 + rng.Intn(15), FLOPSPerInst: 1e9}
+
+	now := rng.Float64() * 1e6
+	in := Input{
+		Now:        now,
+		Hardware:   hw,
+		Shares:     shares,
+		HorizonMin: rng.Float64() * 3600,
+		HorizonMax: rng.Float64() * 86400,
+		Trace:      rng.Intn(4) == 0,
+	}
+	var a, b []*Job
+	for p := range shares {
+		for k := rng.Intn(13); k > 0; k-- {
+			j := Job{
+				Project:   p,
+				Type:      host.CPU,
+				Instances: []float64{1, 1, 1, 2}[rng.Intn(4)],
+				Remaining: 100 + rng.Float64()*5000,
+				Deadline:  now + rng.Float64()*86400,
+			}
+			cp := j
+			a = append(a, &j)
+			b = append(b, &cp)
+		}
+	}
+	// Interleave the projects' arrivals.
+	rng.Shuffle(len(a), func(i, k int) {
+		a[i], a[k] = a[k], a[i]
+		b[i], b[k] = b[k], b[i]
+	})
+	in.Jobs = a
+	return in, a, b
+}
+
+// mixedWorkload builds groups whose members differ in Instances, so a
+// finish re-walks them: CPU groups of 1-, 2- and 4-instance jobs
+// (exact) and GPU groups of 1, 1/2, 1/3 and 1/4 of a GPU (not exact),
+// next to uniform groups of one fractional GPU usage each.
+func mixedWorkload(rng *rand.Rand) (Input, []*Job, []*Job) {
+	nproj := 1 + rng.Intn(4)
+	shares := make([]float64, nproj)
+	for p := range shares {
+		shares[p] = float64(1 + rng.Intn(100))
+	}
+	hw := &host.Hardware{}
+	hw.Proc[host.CPU] = host.Resource{Count: 4 + rng.Intn(13), FLOPSPerInst: 1e9}
+	hw.Proc[host.NvidiaGPU] = host.Resource{Count: 1 + rng.Intn(3), FLOPSPerInst: 1e11}
+
+	now := rng.Float64() * 1e6
+	in := Input{
+		Now:            now,
+		Hardware:       hw,
+		Shares:         shares,
+		HorizonMin:     rng.Float64() * 3600,
+		HorizonMax:     rng.Float64() * 86400,
+		DeadlineMargin: float64(rng.Intn(3)) * 60,
+		Trace:          rng.Intn(4) == 0,
+	}
+	for t := host.ProcType(0); t < host.NumProcTypes; t++ {
+		if rng.Intn(2) == 0 {
+			in.OnFrac[t] = 0.1 + 0.9*rng.Float64()
+		}
+	}
+	cpuMix := []float64{1, 2, 4}
+	gpuMix := []float64{1, 0.5, 1.0 / 3, 0.25}
+	// Per project and type: a mixed group, or one fractional usage.
+	var gpuOne [8]float64
+	for p := range gpuOne {
+		gpuOne[p] = gpuMix[1+rng.Intn(3)]
+	}
+	mixCPU, mixGPU := rng.Intn(2) == 0, rng.Intn(2) == 0
+
+	njobs := 50 + rng.Intn(251)
+	a := make([]*Job, njobs)
+	b := make([]*Job, njobs)
+	for i := range a {
+		p := rng.Intn(nproj)
+		j := Job{
+			Project:   p,
+			Type:      host.CPU,
+			Instances: 1,
+			Remaining: 60 + rng.Float64()*3000,
+			Deadline:  now + rng.Float64()*2*86400,
+		}
+		if mixCPU && p%2 == 0 {
+			j.Instances = cpuMix[rng.Intn(len(cpuMix))]
+		}
+		if rng.Intn(3) == 0 {
+			j.Type = host.NvidiaGPU
+			j.Instances = gpuOne[p]
+			if mixGPU && p%2 == 1 {
+				j.Instances = gpuMix[rng.Intn(len(gpuMix))]
+			}
+		}
+		cp := j
+		a[i] = &j
+		b[i] = &cp
+	}
+	in.Jobs = a
+	return in, a, b
+}
+
 // TestGoldenCompare checks that the Simulator produces bit-identical
 // results to the frozen reference implementation on seeded random
 // workloads — every Result field and every per-job output, compared
 // with ==, no tolerance. The shallow family covers every input
-// corner; the deep family drains exact groups of hundreds of members.
+// corner; the deep family drains exact groups of hundreds of members;
+// the wide, drain and mixed families reach each way a step keeps or
+// rebuilds its seats: partial seats and finishes in the same step,
+// allocations that hold and ones that change as groups cap and empty,
+// and groups of mixed or fractional Instances.
 func TestGoldenCompare(t *testing.T) {
 	sim := New() // reused across cases to exercise scratch-buffer reuse
 	for _, fam := range []struct {
@@ -361,6 +544,9 @@ func TestGoldenCompare(t *testing.T) {
 	}{
 		{"shallow", 200, randomWorkload},
 		{"deep", 12, deepWorkload},
+		{"wide", 40, wideWorkload},
+		{"drain", 200, drainWorkload},
+		{"mixed", 100, mixedWorkload},
 	} {
 		for seed := int64(0); seed < fam.seeds; seed++ {
 			rng := rand.New(rand.NewSource(seed))

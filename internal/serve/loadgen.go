@@ -220,7 +220,7 @@ func nearestRank(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(float64(len(sorted))*p+0.9999999) - 1
+	i := int(float64(float64(len(sorted))*p)+0.9999999) - 1
 	if i < 0 {
 		i = 0
 	}

@@ -542,7 +542,7 @@ func (s *Service) finish(j *job, out *Outcome, err error, elapsed float64) {
 		if s.emaRunSecs == 0 {
 			s.emaRunSecs = elapsed
 		} else {
-			s.emaRunSecs = 0.7*s.emaRunSecs + 0.3*elapsed
+			s.emaRunSecs = float64(0.7*s.emaRunSecs) + float64(0.3*elapsed)
 		}
 	}
 	s.notifyLocked(j)

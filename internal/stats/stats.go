@@ -72,13 +72,13 @@ func (g *RNG) Intn(n int) int { return g.gen().Intn(n) }
 
 // Uniform returns a uniform draw in [lo,hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.gen().Float64()
+	return lo + float64((hi-lo)*g.gen().Float64())
 }
 
 // Normal returns a normal draw with the given mean and standard
 // deviation.
 func (g *RNG) Normal(mean, stdev float64) float64 {
-	return mean + stdev*g.gen().NormFloat64()
+	return mean + float64(stdev*g.gen().NormFloat64())
 }
 
 // TruncNormal returns a normal draw truncated (by resampling, then
@@ -228,7 +228,7 @@ func (m *Mean) Var() float64 {
 	n := float64(m.n)
 	sv := sumPartials(m.sum)
 	qv := sumPartials(m.sumsq)
-	v := (qv - sv*(sv/n)) / (n - 1)
+	v := (qv - float64(sv*(sv/n))) / (n - 1)
 	if v < 0 || math.IsNaN(v) {
 		return 0
 	}
@@ -256,7 +256,7 @@ type RMS struct {
 // Add folds a sample into the accumulator.
 func (r *RMS) Add(x float64) {
 	r.n++
-	r.ss += x * x
+	r.ss += float64(x * x)
 }
 
 // Value returns sqrt(mean of squares) (0 with no samples).

@@ -178,7 +178,7 @@ func (r *Recorder) SVG(width, laneHeight int) string {
 	scale := float64(width-80) / (hi - lo)
 	for i, s := range segs {
 		y := (laneBase[s.Type] + rowOf[i]) * laneHeight
-		x := 70 + (s.Start-lo)*scale
+		x := 70 + float64((s.Start-lo)*scale)
 		w := (s.End - s.Start) * scale
 		color := palette[((s.Project%len(palette))+len(palette))%len(palette)]
 		fmt.Fprintf(&b, `<rect x="%.1f" y="%d" width="%.1f" height="%d" fill="%s"><title>%s P%d [%.0f,%.0f]</title></rect>`,

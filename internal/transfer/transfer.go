@@ -166,7 +166,7 @@ func (m *Manager) pause(dir Direction) {
 	}
 	if m.bps[dir] > 0 {
 		elapsed := m.sim.Now() - m.start[dir]
-		t.remaining -= elapsed * m.bps[dir]
+		t.remaining -= float64(elapsed * m.bps[dir])
 		if t.remaining < 0 {
 			t.remaining = 0
 		}
