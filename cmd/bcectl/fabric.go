@@ -90,7 +90,6 @@ func (c *cli) studyCoord(ctx context.Context, args []string) error {
 	}
 	srv := &http.Server{Handler: coord.Handler()}
 	errCh := make(chan error, 1)
-	serving := time.Now()
 	go func() { errCh <- srv.Serve(ln) }()
 	c.logf("study-coord: serving %d scenarios in %d shards on http://%s",
 		p.Scenarios, *shards, ln.Addr())
@@ -107,25 +106,20 @@ func (c *cli) studyCoord(ctx context.Context, args []string) error {
 		return ctx.Err()
 	}
 	// A worker exits only on a done reply and takes a refused connection
-	// for a coordinator restart, so keep answering done for one lease
-	// TTL. Stop sooner once every worker heard from has had its reply,
-	// but not before this process has served one TTL: any other live
-	// worker asks within it (a waiting one or one retrying a refused
-	// connection every second, a folding one at each renewal).
+	// for a coordinator restart, so keep answering done until every
+	// worker that may still ask has had its reply (Drained), or for one
+	// lease TTL, in which any live worker asks: a waiting one or one
+	// retrying a refused connection every second, a folding one at each
+	// renewal.
 	linger := time.NewTimer(ttl)
 	select {
+	case <-coord.Drained():
 	case <-linger.C:
 	case <-ctx.Done():
-	case <-coord.Drained():
-		select {
-		case <-time.After(time.Until(serving.Add(ttl))):
-		case <-linger.C:
-		case <-ctx.Done():
-		}
 	}
 	linger.Stop()
-	// Shut down rather than Close: Drained closes before its handler has
-	// sent the last done reply, and a worker whose reply is cut off
+	// Shut down rather than Close: a handler may still be writing a
+	// reply when the TTL ends, and a worker whose done reply is cut off
 	// retries the closed port forever.
 	shutdown, cancel := context.WithTimeout(ctx, time.Second)
 	srv.Shutdown(shutdown) //bce:errok past the bound, exiting closes what is left

@@ -18,8 +18,9 @@ import (
 func (c *cli) loadgen(ctx context.Context, args []string) error {
 	fs := c.flagSet("loadgen", `usage: bcectl loadgen [flags]
 
-Drives a running bceweb with submit→poll→result cycles and reports
-p50/p90/p99 latency and throughput. Start a target first, e.g.:
+Drives a running bceweb with submit→done cycles, each waiting on the
+job's event stream, and reports p50/p90/p99 latency and throughput.
+Start a target first, e.g.:
 
   bceweb -addr localhost:8080 &
   bcectl loadgen -url http://localhost:8080 -n 100 -c 8

@@ -124,7 +124,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		c.rep = report.New("BCE " + cmd + " report")
 	}
 	batchOpts := runner.Options{Workers: *workers}
-	if *progress {
+	// study and study-worker print a scenario meter of their own; the
+	// runner's meter restarts at 0 every batch and would overwrite it.
+	if *progress && cmd != "study" && cmd != "study-worker" {
 		batchOpts.Progress = c.printProgress
 	}
 	c.opts = []runner.Option{runner.WithOptions(batchOpts)}
@@ -241,7 +243,7 @@ func usage(fs *flag.FlagSet) {
                                    run the perf suite into a BENCH_*.json
                                    ledger, diff ledgers, or gate against
                                    the baseline (bench -h for flags)
-  bcectl loadgen [loadgen flags]   drive a running bceweb with submit→poll
+  bcectl loadgen [loadgen flags]   drive a running bceweb with submit→done
                                    cycles; report p50/p99 latency and
                                    throughput (loadgen -h for flags)
 

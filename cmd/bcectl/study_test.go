@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,5 +217,116 @@ func TestStudyExtendedEqualsFresh(t *testing.T) {
 	}
 	if got, err := os.ReadFile(a); err != nil || !bytes.Equal(got, ckA) {
 		t.Fatalf("the refused rerun changed the checkpoint (err %v)", err)
+	}
+}
+
+// TestStudyProgress: under -progress, study shows one meter, the
+// scenarios it has folded. The runner's per-run meter, which restarts
+// at 0 every batch, stays off it.
+func TestStudyProgress(t *testing.T) {
+	code, _, stderr := bcectl(context.Background(),
+		"-workers", "2", "-progress", "study", "-n", "12", "-days", "0.02", "-seed", "9", "-batch", "4")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	if strings.Contains(stderr, " runs (") {
+		t.Errorf("study's -progress holds the runner's per-batch meter:\n%q", stderr)
+	}
+	if want := "study: 12/12 scenarios"; !strings.HasSuffix(strings.TrimRight(stderr, " \n"), want) {
+		t.Errorf("study's -progress does not end with %q:\n%q", want, stderr)
+	}
+}
+
+// syncBuffer is a bytes.Buffer that takes concurrent writes, as the
+// stderr of study-coord, which logs from its HTTP handlers, must.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestStudyCoordExitsWithItsWorkers: a fresh study-coord at the default
+// lease TTL stops once every worker it heard from has had its done
+// reply, not a TTL later, and prints the tables of a plain study with
+// the same flags. Coordinator and workers run in-process through run,
+// the coordinator on a free loopback port under a deadline well below
+// the TTL. The workers' -progress shows their shard meters only.
+func TestStudyCoordExitsWithItsWorkers(t *testing.T) {
+	pop := []string{"-n", "12", "-days", "0.02", "-seed", "9", "-batch", "4"}
+	want := mustRun(t, append([]string{"study"}, pop...)...)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	type exit struct {
+		code           int
+		stdout, stderr string
+		at             time.Time
+	}
+	start := func(args ...string) <-chan exit {
+		ch := make(chan exit, 1)
+		go func() {
+			var stdout bytes.Buffer
+			var stderr syncBuffer
+			code := run(ctx, args, &stdout, &stderr)
+			ch <- exit{code, stdout.String(), stderr.String(), time.Now()}
+		}()
+		return ch
+	}
+	coord := start(append(append([]string{"study-coord"}, pop...),
+		"-shards", "2", "-addr", addr, "-dir", filepath.Join(dir, "coord"))...)
+	poll(10*time.Second, 10*time.Millisecond, func() bool {
+		resp, err := http.Get("http://" + addr + "/v1/status")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return true
+	})
+	var workers []<-chan exit
+	for _, name := range []string{"w1", "w2"} {
+		workers = append(workers, start("-workers", "1", "-progress", "study-worker", "-coord", "http://"+addr,
+			"-name", name, "-dir", filepath.Join(dir, name)))
+	}
+	var last time.Time
+	for i, ch := range workers {
+		w := <-ch
+		if w.code != 0 {
+			t.Fatalf("worker %d: exit %d\n%s", i+1, w.code, w.stderr)
+		}
+		if strings.Contains(w.stderr, " runs (") {
+			t.Errorf("worker %d's -progress holds the runner's per-batch meter:\n%s", i+1, w.stderr)
+		}
+		if w.at.After(last) {
+			last = w.at
+		}
+	}
+	c := <-coord
+	if c.code != 0 {
+		t.Fatalf("study-coord: exit %d\n%s", c.code, c.stderr)
+	}
+	if gap := c.at.Sub(last); gap > 5*time.Second {
+		t.Fatalf("study-coord returned %v after its last worker; want within a few seconds\n%s", gap, c.stderr)
+	}
+	if c.stdout != want {
+		t.Fatalf("study-coord's tables differ from a plain study's:\n%s\n---\n%s", c.stdout, want)
 	}
 }

@@ -51,8 +51,8 @@ func main() {
 	srv.Svc.RunTimeout = *timeout
 
 	// Ctrl-C / SIGTERM drains: stop accepting, cancel the submitted
-	// jobs, wait for in-flight emulations to stop at an event-batch
-	// boundary.
+	// jobs, wait for in-flight emulations to stop at their next
+	// simulator event.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	srv.Start(ctx)

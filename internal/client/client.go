@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"bce/internal/account"
 	"bce/internal/fetch"
@@ -255,47 +254,29 @@ func (c *Client) logf(format string, args ...any) {
 	}
 }
 
-// Context checks in RunContext happen between batches of simulator
-// events. Event cost varies over four orders of magnitude with the
-// scenario — a job-heavy host can spend ~0.5 s of CPU in a single
-// rr_sim pass — so a fixed batch size cannot both stay off the hot
-// path and keep cancellation prompt. The batch therefore adapts to
-// wall-clock: it doubles while batches finish quickly and shrinks
-// when they run long, keeping check latency near ctxCheckTarget.
-const (
-	ctxCheckTarget    = 100 * time.Millisecond
-	minCtxCheckEvents = 16
-	maxCtxCheckEvents = 65536
-)
-
-// RunContext executes the emulation, honoring ctx between batches of
-// simulator events: when ctx is canceled or times out, the run stops
-// promptly (within roughly ctxCheckTarget, or one event if a single
-// event runs longer) and returns an error wrapping the context's
-// cause (so errors.Is(err, context.Canceled) works). A finished run
-// is never invalidated retroactively — cancellation only affects runs
-// still in progress. The adaptive batching controls only *when* ctx
-// is observed, never the event order, so results stay bit-for-bit
-// deterministic.
+// RunContext executes the emulation, honoring ctx before every
+// simulator event: once ctx is canceled or times out, the run stops at
+// the next event, however long events take, and returns an error
+// wrapping the context's cause (so errors.Is(err, context.Canceled)
+// works). A finished run is never invalidated retroactively —
+// cancellation only affects runs still in progress. The check is a
+// non-blocking receive on ctx.Done(), which takes no lock, and it
+// decides only whether the next event fires, never the event order, so
+// results stay bit-for-bit deterministic.
 func (c *Client) RunContext(ctx context.Context) (*Result, error) {
 	c.startAvailability()
 	c.availMark = 0
 	c.scheduleTick(0)
-	batch := minCtxCheckEvents
+	done := ctx.Done()
 	for {
-		if err := ctx.Err(); err != nil {
+		select {
+		case <-done:
 			return nil, fmt.Errorf("client: emulation stopped at t=%.0f s after %d events: %w",
 				c.sim.Now(), c.sim.Fired(), context.Cause(ctx))
+		default:
 		}
-		start := time.Now() //bce:wallclock adaptive ctx-check batching measures host time, never sim state
-		if c.sim.RunUntilN(c.cfg.Duration, batch) < batch {
+		if c.sim.RunUntilN(c.cfg.Duration, 1) == 0 {
 			break
-		}
-		switch elapsed := time.Since(start); { //bce:wallclock adaptive ctx-check batching measures host time, never sim state
-		case elapsed < ctxCheckTarget/4 && batch < maxCtxCheckEvents:
-			batch *= 2
-		case elapsed > ctxCheckTarget && batch > minCtxCheckEvents:
-			batch /= 2
 		}
 	}
 

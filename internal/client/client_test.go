@@ -2,6 +2,8 @@ package client
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -536,5 +538,52 @@ func TestRRScratchGrowsGeometrically(t *testing.T) {
 	if jobGrowths > maxGrowths || ptrGrowths > maxGrowths {
 		t.Fatalf("while the queue grew to %d tasks, rrJobs reallocated %d times and rrJobPtrs %d, want at most %d each",
 			queue, jobGrowths, ptrGrowths, maxGrowths)
+	}
+}
+
+// cancelOnFirstLine is a Config.Log writer that cancels a run's
+// context on the first line it gets, noting how many events had fired
+// by then, and counts every line.
+type cancelOnFirstLine struct {
+	c      *Client
+	cancel context.CancelFunc
+	lines  int
+	fired  uint64
+}
+
+func (w *cancelOnFirstLine) Write(p []byte) (int, error) {
+	if w.lines == 0 {
+		w.fired = w.c.sim.Fired()
+		w.cancel()
+	}
+	w.lines++
+	return len(p), nil
+}
+
+// TestRunContextStopsAtNextEvent: a context canceled inside an event
+// stops the run before the next one, however cheap events are. The
+// run's Log writer cancels on its first line, so the error names the
+// count of events fired by then and the writer gets no second line.
+func TestRunContextStopsAtNextEvent(t *testing.T) {
+	cfg := baseConfig(smallQueueHost(2),
+		project.Spec{Name: "p0", Share: 1, Apps: []project.AppSpec{cpuApp(1000, 86400)}})
+	w := &cancelOnFirstLine{}
+	cfg.Log = w
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w.c, w.cancel = c, cancel
+	res, err := c.RunContext(ctx)
+	if !errors.Is(err, context.Canceled) || res != nil {
+		t.Fatalf("RunContext = %v, %v; want no result and context.Canceled", res, err)
+	}
+	if want := fmt.Sprintf("after %d events", w.fired); !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name the %d events fired by the first log line", err, w.fired)
+	}
+	if w.lines != 1 {
+		t.Errorf("the log got %d lines; want the run to stop at the event that wrote the first", w.lines)
 	}
 }

@@ -81,7 +81,8 @@ type Coordinator struct {
 	// reserveUntil is zero on a fresh dir. After a restart it is one
 	// lease TTL past the coordinator's start: until then a lease request
 	// gets no idle shard, because a live worker may still be folding it
-	// and has not renewed yet (its next progress report adopts it).
+	// and has not renewed yet (its next progress report adopts it), and
+	// Drained stays open, because a live worker may not have asked yet.
 	reserveUntil time.Time
 
 	mu     sync.Mutex
@@ -213,7 +214,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("/v1/progress", c.handleProgress)
 	mux.HandleFunc("/v1/report", c.handleReport)
 	mux.HandleFunc("/v1/status", c.handleStatus)
-	mux.HandleFunc("/v1/result", c.handleResult)
 	return mux
 }
 
@@ -224,12 +224,15 @@ func (c *Coordinator) Done() <-chan struct{} {
 	return c.doneCh
 }
 
-// Drained is closed once the study is complete and every worker this
-// coordinator has heard from has been answered done, each reply
-// already flushed to its connection. A worker exits only on that reply
-// and takes a refused connection for a coordinator restart, so a
-// coordinator process keeps serving until Drained (or a lease TTL, for
-// workers it never heard from) before it stops.
+// Drained is closed once the study is complete, every worker this
+// coordinator has heard from has been answered done (each reply
+// already flushed to its connection), and a restarted coordinator's
+// reservation is over: then every worker still alive has been heard
+// from. It closes at the first request that finds all three true. A
+// worker exits only on the done reply and takes a refused connection
+// for a coordinator restart, so a coordinator process keeps serving
+// until Drained, or for a lease TTL after Done when no such request
+// comes, before it stops.
 func (c *Coordinator) Drained() <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -237,8 +240,8 @@ func (c *Coordinator) Drained() <-chan struct{} {
 }
 
 // noteWorkerLocked records whether a worker still awaits its done
-// reply, closing drained when the study is complete and none does.
-// Callers hold mu.
+// reply, closing drained when the study is complete, none does and the
+// restart reservation is over. Callers hold mu.
 func (c *Coordinator) noteWorkerLocked(name string, awaiting bool) {
 	c.workers[name] = awaiting
 	if c.result == nil {
@@ -248,6 +251,9 @@ func (c *Coordinator) noteWorkerLocked(name string, awaiting bool) {
 		if a {
 			return
 		}
+	}
+	if c.now().Before(c.reserveUntil) {
+		return
 	}
 	select {
 	case <-c.drained:
@@ -469,15 +475,6 @@ func (c *Coordinator) maybeFinishLocked() error {
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.Status())
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	st, err := c.Result()
-	if err != nil {
-		writeError(w, http.StatusConflict, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 // decodeInto parses a POSTed JSON body, writing the error response

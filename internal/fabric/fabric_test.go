@@ -512,6 +512,16 @@ func TestFabricLostLeaseIsNotReported(t *testing.T) {
 	}
 }
 
+// drained reports whether c's Drained channel is closed.
+func drained(c *Coordinator) bool {
+	select {
+	case <-c.Drained():
+		return true
+	default:
+		return false
+	}
+}
+
 // A worker exits only on a done reply, so Drained — which lets a
 // coordinator process stop serving — waits for every worker heard from,
 // including one whose lease expired while it was silent.
@@ -529,14 +539,6 @@ func TestFabricDrainedAfterEveryDoneReply(t *testing.T) {
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 	ctx := context.Background()
-	drained := func() bool {
-		select {
-		case <-c.Drained():
-			return true
-		default:
-			return false
-		}
-	}
 
 	wb := &Worker{Coord: srv.URL, Name: "b", Dir: t.TempDir()}
 	if l, _, err := wb.lease(ctx); err != nil || l.Status != StatusLease {
@@ -552,15 +554,64 @@ func TestFabricDrainedAfterEveryDoneReply(t *testing.T) {
 	default:
 		t.Fatal("worker exited but the study is not done")
 	}
-	if drained() {
+	if drained(c) {
 		t.Fatal("drained before b was answered done")
 	}
 
 	if l, _, err := wb.lease(ctx); err != nil || l.Status != StatusDone {
 		t.Fatalf("b's lease after completion: %+v, %v; want done", l, err)
 	}
-	if !drained() {
+	if !drained(c) {
 		t.Fatal("not drained after every worker was answered done")
+	}
+}
+
+// Drained waits out a restarted coordinator's reservation: workers of
+// the old process may still be retrying it, and within one lease TTL
+// every live one has asked. A fresh coordinator has heard from every
+// worker it must answer, so its Drained closes with the last done reply.
+func TestFabricDrainedWaitsOutReservation(t *testing.T) {
+	spec := testSpec(8, 2)
+	dir := t.TempDir()
+	clock := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+	const ttl = 30 * time.Second
+	opts := CoordinatorOptions{Dir: dir, LeaseTTL: ttl, now: func() time.Time { return clock }}
+	ctx := context.Background()
+
+	c1, err := NewCoordinator(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1 := httptest.NewServer(c1.Handler())
+	runWorkers(t, ctx, srv1.URL, t.TempDir(), "a")
+	srv1.Close()
+	if !drained(c1) {
+		t.Fatal("a fresh coordinator is not drained after its only worker's done reply")
+	}
+
+	// Restarted on the finished dir, the coordinator answers done at
+	// once, but Drained waits for the first request at or after the
+	// reservation's end.
+	clock = clock.Add(time.Minute)
+	restart := clock
+	c2, err := NewCoordinator(spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2 := httptest.NewServer(c2.Handler())
+	defer srv2.Close()
+	w := &Worker{Coord: srv2.URL, Name: "a", Dir: t.TempDir()}
+	for _, step := range []struct {
+		after   time.Duration
+		drained bool
+	}{{0, false}, {ttl - time.Nanosecond, false}, {ttl, true}} {
+		clock = restart.Add(step.after)
+		if l, _, err := w.lease(ctx); err != nil || l.Status != StatusDone {
+			t.Fatalf("lease %v after the restart: %+v, %v; want done", step.after, l, err)
+		}
+		if got := drained(c2); got != step.drained {
+			t.Fatalf("drained %v after a done reply %v after the restart; want %v", got, step.after, step.drained)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@
 //	POST /v1/progress ProgressRequest → {}         renew the lease, report done count
 //	POST /v1/report   ReportRequest → {}           deliver a finished shard's aggregates
 //	GET  /v1/status   → StatusReply                observability
-//	GET  /v1/result   → population.Study           the merged study, once complete
 package fabric
 
 import "bce/internal/population"

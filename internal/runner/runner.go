@@ -13,7 +13,7 @@
 //     happens in submission order regardless of completion order,
 //   - a panic inside one run is recovered and surfaced as that run's
 //     error instead of taking down the whole batch,
-//   - the context is honored between batches of simulator events, so
+//   - the context is honored before every simulator event, so
 //     cancellation and timeouts stop a batch promptly, and
 //   - live progress counters (runs started/done, events simulated,
 //     wall-clock rate) are published to an optional callback.

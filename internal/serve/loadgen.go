@@ -1,7 +1,7 @@
 // Loadgen is the service's benchmark client (cf. sigmaos
 // benchmarks/loadgen): it drives a running bceweb instance over HTTP
 // through the async API and reports tail latency and throughput —
-// closed-loop (a fixed set of virtual clients, each submit→poll→next)
+// closed-loop (a fixed set of virtual clients, each submit→wait→next)
 // or open-loop (a fixed arrival rate regardless of completions, which
 // is what exposes queueing collapse). Shed responses (429) honor the
 // server's Retry-After.
@@ -9,6 +9,7 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -42,8 +43,6 @@ type LoadgenOptions struct {
 	// run hammers the result cache instead of the emulator.
 	Scenario  *scenario.Scenario
 	Identical bool
-	// PollInterval is the job-status poll period (default 10ms).
-	PollInterval time.Duration
 	// Timeout caps one request end to end, submit through completion
 	// (default 2 minutes).
 	Timeout time.Duration
@@ -107,9 +106,6 @@ func Loadgen(ctx context.Context, o LoadgenOptions) (*LoadgenResult, error) {
 	}
 	if o.Concurrency <= 0 {
 		o.Concurrency = 4
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 10 * time.Millisecond
 	}
 	if o.Timeout <= 0 {
 		o.Timeout = 2 * time.Minute
@@ -238,10 +234,11 @@ type submitResponse struct {
 	Err      string `json:"err"`
 }
 
-// oneRequest runs one full submit→poll→done cycle, retrying shed
-// submissions after the server's Retry-After. It returns the end-to-end
-// latency, whether the result came from the cache, and how many sheds
-// it absorbed.
+// oneRequest runs one full submit→done cycle, retrying shed
+// submissions after the server's Retry-After and then waiting for the
+// job's last event on its /jobs/{id}/events stream. It returns the
+// end-to-end latency, whether the result came from the cache, and how
+// many sheds it absorbed.
 func oneRequest(ctx context.Context, client *http.Client, base string, body []byte, o LoadgenOptions) (lat time.Duration, cacheHit bool, shed int, err error) {
 	ctx, cancel := context.WithTimeout(ctx, o.Timeout)
 	defer cancel()
@@ -268,22 +265,16 @@ func oneRequest(ctx context.Context, client *http.Client, base string, body []by
 	}
 	state := sub.State
 	cacheHit = sub.CacheHit
-	for !state.Terminal() {
-		select {
-		case <-ctx.Done():
-			return 0, false, shed, ctx.Err()
-		case <-time.After(o.PollInterval): //bce:wallclock poll pacing
+	if !state.Terminal() {
+		ev, err := lastEvent(ctx, client, base+"/jobs/"+sub.ID+"/events")
+		if err != nil {
+			return 0, false, shed, err
 		}
-		var jv JobView
-		status, _, decodeErr := getJSON(ctx, client, base+"/api/jobs/"+sub.ID, &jv)
-		if decodeErr != nil {
-			return 0, false, shed, decodeErr
+		if !ev.State.Terminal() {
+			return 0, false, shed, fmt.Errorf("loadgen: job %s's event stream ended while it was %s", sub.ID, ev.State)
 		}
-		if status != http.StatusOK {
-			return 0, false, shed, fmt.Errorf("loadgen: poll status %d", status)
-		}
-		state = jv.State
-		cacheHit = cacheHit || jv.CacheHit
+		state = ev.State
+		cacheHit = cacheHit || ev.CacheHit
 	}
 	if state == StateFailed {
 		return 0, false, shed, fmt.Errorf("loadgen: job failed")
@@ -297,18 +288,6 @@ func postJSON(ctx context.Context, client *http.Client, url string, body []byte,
 		return 0, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	return doJSON(client, req, out)
-}
-
-func getJSON(ctx context.Context, client *http.Client, url string, out any) (status int, retryAfter time.Duration, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	return doJSON(client, req, out)
-}
-
-func doJSON(client *http.Client, req *http.Request, out any) (status int, retryAfter time.Duration, err error) {
 	resp, err := client.Do(req)
 	if err != nil {
 		return 0, 0, err
@@ -325,6 +304,38 @@ func doJSON(client *http.Client, req *http.Request, out any) (status int, retryA
 		}
 	}
 	return resp.StatusCode, retryAfter, nil
+}
+
+// lastEvent reads a job's server-sent event stream to its end, which
+// the server marks after the job's terminal event, and returns the
+// last event it carried.
+func lastEvent(ctx context.Context, client *http.Client, url string) (Event, error) {
+	var last Event
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return last, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return last, err
+	}
+	defer resp.Body.Close() //bce:errok read-side close; nothing is written back
+	if resp.StatusCode != http.StatusOK {
+		return last, fmt.Errorf("loadgen: events status %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var ev Event
+		if err := json.Unmarshal([]byte(data), &ev); err != nil {
+			return last, fmt.Errorf("loadgen: bad event %q: %w", truncateBody([]byte(data)), err)
+		}
+		last = ev
+	}
+	return last, sc.Err()
 }
 
 func truncateBody(b []byte) string {

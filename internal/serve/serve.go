@@ -262,7 +262,7 @@ func (s *Service) Workers() int { return cap(s.slots) }
 func (s *Service) QueueCap() int { return s.cfg.QueueCap }
 
 // Start lets Submit run jobs under ctx. Cancelling ctx stops running
-// jobs at their next event-batch boundary, fails the ones still
+// jobs at their next simulator event, fails the ones still
 // waiting for a run slot (closing their watchers), and makes later
 // Submits return ErrNotStarted. Start is a no-op while an earlier
 // Start context is live; Wait blocks until Submit's jobs have ended.

@@ -219,9 +219,9 @@ func (s *Simulator) RunUntil(end float64) {
 // RunUntilN fires at most max events whose time is <= end, advancing
 // the clock, and returns the number fired. A return value below max
 // means the horizon was reached — no events remain at or before end —
-// and the clock has been set to exactly `end`. Callers interleave work
-// between batches of events; the runner engine uses it to poll context
-// cancellation without putting a check on the per-event path.
+// and the clock has been set to exactly `end`. Callers interleave their
+// own work between events: client.RunContext fires them one at a time
+// and checks its context before each.
 func (s *Simulator) RunUntilN(end float64, max int) int {
 	fired := 0
 	for fired < max && len(s.events) > 0 && s.events[0].at <= end {
